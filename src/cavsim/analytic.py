@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
 NO_HERALD_TOL = 1e-12
 
 _QUAD_TOL = 1e-8
-_QUAD_MAX_ORDER = 2048
+_QUAD_MAX_ORDER = 4096
 
 
 class NoHeraldError(RuntimeError):
@@ -240,18 +241,24 @@ def cz_old(p: CavityParams, state: JointState) -> GateResult:
 # on the qubit amplitudes only through |.|^2, so the azimuthal averages
 # are exact. What remains is Gauss-Legendre quadrature over the
 # population(s), with the order doubled until the result moves by less
-# than _QUAD_TOL.
+# than _QUAD_TOL or reaches _QUAD_MAX_ORDER.
 
 
+@lru_cache(maxsize=None)
 def _nodes01(order: int):
+    # Every average asks for the same few orders; the cached arrays are
+    # shared by all callers, hence read-only.
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _adaptive(evaluate):
     order = 8
     prev = evaluate(order)
-    while order <= _QUAD_MAX_ORDER:
+    while order < _QUAD_MAX_ORDER:
         order *= 2
         cur = evaluate(order)
         if abs(cur - prev) < _QUAD_TOL:
@@ -295,7 +302,7 @@ def avg_fidelity_old(p: CavityParams) -> float:
 
     def evaluate(order):
         b, w = _nodes01(order)
-        bp, ba = np.meshgrid(b, b, indexing="ij")
+        bp, ba = b[:, None], b[None, :]
         ww = np.outer(w, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             num, success, _ = _old_core(
@@ -328,7 +335,7 @@ def avg_success(p: CavityParams, scheme: str, phi: float = 0.0) -> float:
 
         def evaluate(order):
             b, w = _nodes01(order)
-            bp, ba = np.meshgrid(b, b, indexing="ij")
+            bp, ba = b[:, None], b[None, :]
             ww = np.outer(w, w)
             _, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
             return float(np.sum(ww * success))

@@ -211,6 +211,9 @@ def cmd_gate(args) -> int:
             net = run_cz_new(refl, params.zeta, state, phi=phi, v_attenuation=att)
         else:
             net = run_cz_old(refl, params.zeta, state)
+        if net.no_herald:
+            print("error: oracle heralds nothing at this operating point", file=sys.stderr)
+            return EXIT_VALIDATION_FAILED
         deviation = max(
             abs(net.fidelity - res.fidelity),
             abs(net.success_probability - res.success_probability),

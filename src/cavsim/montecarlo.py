@@ -5,7 +5,8 @@ Randomness is drawn from counter-based Philox streams keyed by
 (cavity 1: C, kappa_ratio, delta_c, delta_a; cavity 2 likewise; then
 the two interferometer phases). Results are therefore bit-identical
 however the grid points are scheduled, including under the optional
-thread pool capped by the CAVSIM_THREADS environment variable.
+thread pool sized by the CAVSIM_THREADS environment variable and capped
+at the number of CPUs.
 
 Out-of-range draws are clamped, not resampled: C at 0 from below and
 kappa_ratio into [0, 1]. Clamp counts are reported in the result
@@ -209,7 +210,7 @@ def _n_threads() -> int:
         raise ValueError(f"CAVSIM_THREADS must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ValueError("CAVSIM_THREADS must be >= 1")
-    return n
+    return min(n, os.cpu_count() or 1)
 
 
 def _draw_cavity(rng, cav: CavityFluctuation, c_mean: float, n: int):

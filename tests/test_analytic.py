@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cavsim import analytic
 from cavsim import (
     CavityParams,
     JointState,
@@ -19,6 +20,7 @@ from cavsim import (
     cz_old,
     cz_old_from_reflections,
     reflection_lossy,
+    sweep_1d,
 )
 from conftest import random_cavity_params, random_joint_state, random_qubit_pair
 
@@ -260,3 +262,56 @@ def test_average_is_phase_aware():
     good = avg_fidelity_new(BALANCE_POINT, phi=0.0)
     bad = avg_fidelity_new(BALANCE_POINT, phi=0.5)
     assert bad < good - 0.01
+
+
+# ---------------------------------------------------------------------------
+# quadrature nodes and order doubling
+# ---------------------------------------------------------------------------
+
+
+def test_cached_nodes_match_leggauss():
+    for order in (8, 16, 64):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes, weights = analytic._nodes01(order)
+        assert np.array_equal(nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(weights, 0.5 * w)
+        assert analytic._nodes01(order)[0] is nodes
+
+
+def test_cached_nodes_are_read_only():
+    nodes, weights = analytic._nodes01(8)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        weights *= 2.0
+    assert np.array_equal(nodes, 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0))
+
+
+def test_sweep_computes_nodes_once_per_order(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    orders = []
+
+    def counting_leggauss(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    analytic._nodes01.cache_clear()
+    values = np.linspace(0.8, 1.0, 101)
+    for scheme in ("new", "old"):
+        sweep_1d(BASELINE, "zeta", values, scheme, "fidelity")
+    assert orders
+    assert len(orders) == len(set(orders))
+
+
+def test_quadrature_stops_at_max_order():
+    asked = []
+
+    def never_converges(order):
+        asked.append(order)
+        return float(order)
+
+    with pytest.raises(RuntimeError):
+        analytic._adaptive(never_converges)
+    assert max(asked) == analytic._QUAD_MAX_ORDER
+    assert asked == [8 * 2**k for k in range(len(asked))]

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from cavsim import FluctuationSpec, mc_infidelity_curve, sweep_1d, CavityParams
-from cavsim.cli import EXIT_CONFIG_ERROR, EXIT_NO_HERALD, main
+from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
+from cavsim.cli import EXIT_CONFIG_ERROR, EXIT_NO_HERALD, EXIT_VALIDATION_FAILED, main
 
 
 def test_gate_old_scheme_reference_point(capsys):
@@ -88,6 +88,17 @@ def test_no_herald_exit_code(capsys):
     )
     assert code == EXIT_NO_HERALD
     assert "heralds nothing" in capsys.readouterr().err
+
+
+def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
+    # the closed form heralds but the oracle does not: report, don't crash
+    def no_herald_oracle(*args, **kwargs):
+        return GateResult(None, 0.0, 1.0, 0.0, no_herald=True)
+
+    monkeypatch.setattr("cavsim.cli.run_cz_new", no_herald_oracle)
+    code = main("gate --scheme new --c 4 --kr 0.916 --oracle".split())
+    assert code == EXIT_VALIDATION_FAILED
+    assert "oracle heralds nothing" in capsys.readouterr().err
 
 
 def test_sweep_files(tmp_path, capsys):

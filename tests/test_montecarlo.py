@@ -4,6 +4,7 @@ scheduling, clamp accounting, smoothing, and the deterministic sweeps."""
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cavsim import (
     mc_phase_noise,
     sweep_1d,
 )
+from cavsim.montecarlo import _n_threads
 
 SMALL_GRID = np.linspace(1.0, 10.0, 16)
 
@@ -65,6 +67,14 @@ def test_bad_thread_env_rejected(monkeypatch):
     monkeypatch.setenv("CAVSIM_THREADS", "0")
     with pytest.raises(ValueError):
         mc_infidelity_curve(_small_spec(), "new", SMALL_GRID)
+
+
+def test_thread_count_capped_at_cpu_count(monkeypatch):
+    # only the count is checked; no pool is started at this value
+    monkeypatch.setenv("CAVSIM_THREADS", "1000000")
+    assert _n_threads() == os.cpu_count()
+    monkeypatch.setenv("CAVSIM_THREADS", "1")
+    assert _n_threads() == 1
 
 
 def test_zero_phase_noise_matches_plain_curve():
@@ -201,6 +211,60 @@ def test_sweep_matches_direct_averages():
     assert res_s.means[1] == pytest.approx(
         avg_success(CavityParams(8.0, 0.0, 0.0, 0.916, 0.92), "new"), abs=1e-12
     )
+
+
+# sweep_1d means over the CLI's default axis ranges at the baseline point
+# (12 significant digits)
+SWEEP_GOLDEN = {
+    ("zeta", "fidelity", "new"): (
+        0.949449937293, 0.954201776434, 0.958857044427, 0.963419424231,
+        0.967892387952, 0.972279212993, 0.976582996662, 0.980806669417,
+        0.984953006881, 0.989024640785, 0.993024068943,
+    ),
+    ("zeta", "fidelity", "old"): (
+        0.849140489056, 0.862982342771, 0.877075173685, 0.891425886946,
+        0.906041643999, 0.920929874618, 0.936098289627, 0.951554894354,
+        0.967308002866, 0.983366253035, 0.999738622512,
+    ),
+    ("zeta", "success", "new"): (
+        0.765183130864, 0.771812709136, 0.778442287407, 0.785071865679,
+        0.791701443951, 0.798331022222, 0.804960600494, 0.811590178765,
+        0.818219757037, 0.824849335309, 0.83147891358,
+    ),
+    ("zeta", "success", "old"): (
+        0.742199150617, 0.735754129383, 0.729309108148, 0.722864086914,
+        0.716419065679, 0.709974044444, 0.70352902321, 0.697084001975,
+        0.690638980741, 0.684193959506, 0.677748938272,
+    ),
+    ("kappa_ratio", "fidelity", "new"): (
+        0.945465493305, 0.951546799107, 0.956987968193, 0.961833852295,
+        0.966126368151, 0.969904648575, 0.973205197116, 0.976062042603,
+        0.978506890981, 0.980569272619, 0.982276683862,
+    ),
+    ("kappa_ratio", "fidelity", "old"): (
+        0.817124465719, 0.848872338757, 0.874288525074, 0.89424382736,
+        0.909589334043, 0.921098799209, 0.929447735087, 0.935211686694,
+        0.93887360218, 0.940834793422, 0.941426635376,
+    ),
+    ("kappa_ratio", "success", "new"): (
+        0.67809382716, 0.693686123457, 0.709932641975, 0.726833382716,
+        0.744388345679, 0.762597530864, 0.781460938272, 0.800978567901,
+        0.821150419753, 0.841976493827, 0.863456790123,
+    ),
+    ("kappa_ratio", "success", "old"): (
+        0.354409876543, 0.387434469136, 0.425447506173, 0.468448987654,
+        0.51643891358, 0.569417283951, 0.627384098765, 0.690339358025,
+        0.758283061728, 0.831215209877, 0.909135802469,
+    ),
+}
+SWEEP_RANGES = {"zeta": (0.8, 1.0), "kappa_ratio": (0.7, 1.0)}
+
+
+@pytest.mark.parametrize("axis, quantity, scheme", sorted(SWEEP_GOLDEN))
+def test_sweep_frozen_values(axis, quantity, scheme):
+    values = np.linspace(*SWEEP_RANGES[axis], 11)
+    res = sweep_1d(BASELINE, axis, values, scheme, quantity)
+    assert res.means == pytest.approx(SWEEP_GOLDEN[axis, quantity, scheme], rel=0, abs=1e-12)
 
 
 def test_sweep_validation():
