@@ -21,9 +21,7 @@ from .analytic import (
 )
 from .cavity import (
     CavityParams,
-    RawCavityParams,
     ReflectionPair,
-    reduce_params,
     reflection_amplitudes,
     reflection_lossless,
     reflection_lossy,
@@ -80,7 +78,6 @@ __all__ = [
     "NetworkState",
     "NoHeraldError",
     "OldEntangleResult",
-    "RawCavityParams",
     "ReflectionPair",
     "RemoteEntangleResult",
     "SweepResult",
@@ -105,7 +102,6 @@ __all__ = [
     "mc_infidelity_curve",
     "mc_phase_noise",
     "multiphoton_throughput",
-    "reduce_params",
     "reflection_amplitudes",
     "reflection_lossless",
     "reflection_lossy",

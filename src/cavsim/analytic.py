@@ -38,9 +38,11 @@ __all__ = [
     "avg_success",
 ]
 
-# Below this success probability a run is reported as a no-herald
-# outcome and the fidelity is undefined.
-NO_HERALD_TOL = 1e-12
+# The one no-herald rule of the package: an outcome whose herald
+# (detection) probability is below HERALD_TOL does not herald, and its
+# fidelity is undefined. It applies to probabilities, never to
+# unnormalized weights.
+HERALD_TOL = 1e-12
 
 _QUAD_TOL = 1e-8
 _QUAD_MAX_ORDER = 4096
@@ -158,8 +160,8 @@ def cz_new_from_reflections(
     num, success, p_loss, raw_h, nl2 = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
     )
-    p_h = float(raw_h / nl2) if nl2 > NO_HERALD_TOL else 0.0
-    if success < NO_HERALD_TOL:
+    p_h = float(raw_h / nl2) if nl2 > HERALD_TOL else 0.0
+    if success < HERALD_TOL:
         return GateResult(None, float(max(success, 0.0)), float(p_loss), p_h, no_herald=True)
     g = 0.5 * (refl.r_c - refl.r_nc)
     v_amp = math.sqrt((v_attenuation**2) * a2 / success)
@@ -217,7 +219,7 @@ def cz_old_from_reflections(
     aa2 = abs(state.alpha) ** 2
     ba2 = abs(state.beta) ** 2
     num, success, p_loss = _old_core(refl.r_c, refl.r_nc, zeta, ap2, bp2, aa2, ba2)
-    if success < NO_HERALD_TOL:
+    if success < HERALD_TOL:
         return GateResult(None, float(max(success, 0.0)), float(p_loss), 0.0, no_herald=True)
     return GateResult(
         fidelity=_clamp01(float(num / success)),
@@ -268,7 +270,7 @@ def _adaptive(evaluate):
 
 
 def _masked_average(values, success, weights) -> float:
-    valid = success > NO_HERALD_TOL
+    valid = success >= HERALD_TOL
     wsum = float(np.sum(weights * valid))
     if wsum <= 0.0:
         raise NoHeraldError("gate heralds nowhere on the Bloch sphere")
@@ -276,71 +278,56 @@ def _masked_average(values, success, weights) -> float:
     return float(np.sum(weights * vals) / wsum)
 
 
-def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
-    """Fidelity of cz_new averaged over the photon Bloch sphere.
+def _bloch_average(p: CavityParams, scheme: str, quantity: str, phi: float = 0.0) -> float:
+    """Average `quantity` ("fidelity" or "success") of one scheme.
 
-    The new scheme's fidelity does not depend on the atomic state, so a
-    single sphere is averaged. No-herald points (which can only occur
-    on a measure-zero set) are skipped with their weight renormalized.
-    """
-    refl = reflection_lossy(p)
-    phase = cmath.exp(1j * _reduce_phase(phi))
-
-    def evaluate(order):
-        b2, w = _nodes01(order)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num, success, *_ = _new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b2, b2, phase, 1.0)
-            fid = num / success
-        return _masked_average(fid, success, w)
-
-    return _adaptive(evaluate)
-
-
-def avg_fidelity_old(p: CavityParams) -> float:
-    """Fidelity of cz_old averaged over photon and atom Bloch spheres."""
-    refl = reflection_lossy(p)
-
-    def evaluate(order):
-        b, w = _nodes01(order)
-        bp, ba = b[:, None], b[None, :]
-        ww = np.outer(w, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num, success, _ = _old_core(
-                refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba
-            )
-            fid = num / success
-        return _masked_average(fid, success, ww)
-
-    return _adaptive(evaluate)
-
-
-def avg_success(p: CavityParams, scheme: str, phi: float = 0.0) -> float:
-    """Bloch-averaged success probability for either scheme.
-
-    Averages over the photon sphere for the new scheme and over both
-    spheres for the old one (its loss depends on the atom too). phi is
-    accepted for symmetry with the fidelity averages; the new scheme's
-    success probability does not depend on it.
+    The new scheme depends on the photon population only (one sphere);
+    the old scheme's loss depends on the atom too (two spheres, nodes
+    broadcast along separate axes). Fidelity points that do not herald
+    are skipped with their weight renormalized.
     """
     refl = reflection_lossy(p)
     if scheme == "new":
         phase = cmath.exp(1j * _reduce_phase(phi))
 
-        def evaluate(order):
-            b2, w = _nodes01(order)
-            _, success, *_ = _new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b2, b2, phase, 1.0)
-            return float(np.sum(w * success))
+        def kernel(order):
+            b, w = _nodes01(order)
+            num, success, *_ = _new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, phase, 1.0)
+            return num, success, w
 
     elif scheme == "old":
 
-        def evaluate(order):
+        def kernel(order):
             b, w = _nodes01(order)
             bp, ba = b[:, None], b[None, :]
-            ww = np.outer(w, w)
-            _, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
-            return float(np.sum(ww * success))
+            num, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
+            return num, success, np.outer(w, w)
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")
 
+    def evaluate(order):
+        num, success, w = kernel(order)
+        if quantity == "success":
+            return float(np.sum(w * success))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _masked_average(num / success, success, w)
+
     return _adaptive(evaluate)
+
+
+def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
+    """Fidelity of cz_new averaged over the photon Bloch sphere (the
+    new scheme's fidelity does not depend on the atomic state)."""
+    return _bloch_average(p, "new", "fidelity", phi)
+
+
+def avg_fidelity_old(p: CavityParams) -> float:
+    """Fidelity of cz_old averaged over photon and atom Bloch spheres."""
+    return _bloch_average(p, "old", "fidelity")
+
+
+def avg_success(p: CavityParams, scheme: str, phi: float = 0.0) -> float:
+    """Bloch-averaged success probability of either scheme; phi is
+    accepted for symmetry (the new scheme's success ignores it)."""
+    return _bloch_average(p, scheme, "success", phi)

@@ -18,44 +18,12 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "RawCavityParams",
     "CavityParams",
     "ReflectionPair",
-    "reduce_params",
     "reflection_amplitudes",
     "reflection_lossy",
     "reflection_lossless",
 ]
-
-
-@dataclass(frozen=True)
-class RawCavityParams:
-    """Dimensionful cavity description (all rates in the same unit).
-
-    g is the atom-cavity coupling, kappa the total cavity HWHM, kappa_r
-    the decay rate through the coupling mirror, gamma the atomic dipole
-    HWHM, and omega_p/omega_c/omega_a the probe, cavity and atomic
-    frequencies.
-    """
-
-    g: float
-    kappa: float
-    kappa_r: float
-    gamma: float
-    omega_p: float
-    omega_c: float
-    omega_a: float
-
-    def __post_init__(self):
-        if not (self.kappa > 0 and self.gamma > 0):
-            raise ValueError("kappa and gamma must be positive")
-        if self.g < 0:
-            raise ValueError("coupling g must be non-negative")
-        if not 0.0 <= self.kappa_r <= self.kappa:
-            raise ValueError("kappa_r must lie in [0, kappa]")
-        for name in ("omega_p", "omega_c", "omega_a"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -114,17 +82,6 @@ class ReflectionPair:
     def ideal(cls) -> "ReflectionPair":
         """Perfect gate limit: r_c = 1, r_nc = -1, no loss."""
         return cls(r_c=1.0 + 0j, r_nc=-1.0 + 0j, t_c_sq=0.0, t_nc_sq=0.0)
-
-
-def reduce_params(raw: RawCavityParams, zeta: float = 1.0) -> CavityParams:
-    """Collapse a dimensionful description to the dimensionless one."""
-    return CavityParams(
-        c=raw.g**2 / (2.0 * raw.kappa * raw.gamma),
-        delta_c=(raw.omega_p - raw.omega_c) / raw.kappa,
-        delta_a=(raw.omega_p - raw.omega_a) / raw.gamma,
-        kappa_ratio=raw.kappa_r / raw.kappa,
-        zeta=zeta,
-    )
 
 
 def reflection_amplitudes(c, delta_c, delta_a, kappa_ratio):

@@ -8,7 +8,8 @@ Commands:
   validate  experiment reproduction report (nonzero exit on failure)
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error,
-3 gate heralds nothing.
+3 nothing heralds (the gate at its operating point, or every trial of
+an mc grid point).
 
 All emitted numbers carry 12 significant digits and files use LF line
 endings; with a fixed seed, repeated runs are byte-identical (no
@@ -32,10 +33,10 @@ from .cavity import CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
     GaussianSpec,
-    _rounded,
     standard_fluctuation_spec,
     mc_infidelity_curve,
     sweep_1d,
+    write_json,
 )
 from .oracle import run_cz_new, run_cz_old
 
@@ -157,10 +158,13 @@ def _gate_result_dict(res) -> dict:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_artifact(out, name: str, payload: dict) -> None:
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
     with open(path, "w", newline="") as fh:
-        json.dump(_rounded(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(payload, fh)
+    print(f"wrote {path}")
 
 
 def _emit_result(result, args, stem: str) -> None:
@@ -229,14 +233,9 @@ def cmd_gate(args) -> int:
             return EXIT_VALIDATION_FAILED
 
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "gate.json"
-        _write_json(path, payload)
-        print(f"wrote {path}")
+        _write_artifact(args.out, "gate.json", payload)
     elif args.format == "json":
-        json.dump(_rounded(payload), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_json(payload, sys.stdout)
     else:
         for key, val in payload["result"].items():
             if isinstance(val, float):
@@ -308,13 +307,8 @@ def cmd_validate(args) -> int:
             print(line)
     ok = all(r.passed for r in reports)
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "validation.json"
-        _write_json(
-            path, {"passed": ok, "reports": [r.to_dict() for r in reports]}
-        )
-        print(f"wrote {path}")
+        payload = {"passed": ok, "reports": [r.to_dict() for r in reports]}
+        _write_artifact(args.out, "validation.json", payload)
     print("validation " + ("PASSED" if ok else "FAILED"))
     return 0 if ok else EXIT_VALIDATION_FAILED
 

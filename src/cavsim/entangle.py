@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import NoHeraldError, _reduce_phase
+from .analytic import HERALD_TOL, NoHeraldError, _reduce_phase
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "two_atoms_one_cavity",
     "two_atoms_one_cavity_from_reflections",
 ]
-
-_HERALD_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,7 @@ def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, dphi):
 
     The photon picks up (r_c - r_nc)/2 at whichever node it scatters
     from; the two heralded polarization outcomes have the same fidelity.
+    The herald probability is weight / 2.
     """
     g1 = 0.5 * (r_c1 - r_nc1)
     g2 = 0.5 * (r_c2 - r_nc2)
@@ -63,7 +62,11 @@ def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, dphi):
 
 
 def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
-    """Numerators and branch weights of the prior scheme's two heralds."""
+    """Numerators and branch weights of the prior scheme's two heralds.
+
+    A branch's herald probability is its weight / 16 (the two weights
+    sum to 16 for lossless reflections).
+    """
     nn = r_nc2 * r_nc1
     nc = r_nc2 * r_c1
     cn = r_c2 * r_nc1
@@ -93,8 +96,8 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     dphi = _reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)
     with np.errstate(invalid="ignore", divide="ignore"):
         fid, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, dphi)
-    if weight < _HERALD_FLOOR:
-        raise NoHeraldError("both nodes have r_c = r_nc; nothing heralds")
+    if 0.5 * weight < HERALD_TOL:
+        raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
     return float(fid)
 
 
@@ -126,11 +129,11 @@ def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     p2 = reflection_lossy(setup.cavity_2)
     num_phi, den_phi, num_psi, den_psi = _bell_old_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc)
     total = den_phi + den_psi
-    if total < _HERALD_FLOOR:
-        raise NoHeraldError("all branch amplitudes vanish; nothing heralds")
+    if total / 16.0 < HERALD_TOL:
+        raise NoHeraldError("all branch amplitudes (nearly) vanish; nothing heralds")
     return OldEntangleResult(
-        phi_plus_fidelity=float(num_phi / den_phi) if den_phi > _HERALD_FLOOR else 0.0,
-        psi_plus_fidelity=float(num_psi / den_psi) if den_psi > _HERALD_FLOOR else 0.0,
+        phi_plus_fidelity=float(num_phi / den_phi) if den_phi / 16.0 >= HERALD_TOL else 0.0,
+        psi_plus_fidelity=float(num_psi / den_psi) if den_psi / 16.0 >= HERALD_TOL else 0.0,
         phi_plus_weight=float(den_phi / total),
         psi_plus_weight=float(den_psi / total),
     )
@@ -154,7 +157,7 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
         raise ValueError("zeta must lie in [0, 1]")
     p_loss = 0.25 * zeta * (3.0 * refl.t_c_sq + refl.t_nc_sq)
     survived = 1.0 - p_loss
-    if survived < _HERALD_FLOOR:
+    if survived < HERALD_TOL:
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2
     return TwoAtomEstimate(fidelity=float(min(num / survived, 1.0)), p_loss=float(p_loss))

@@ -12,6 +12,10 @@ Out-of-range draws are clamped, not resampled: C at 0 from below and
 kappa_ratio into [0, 1]. Clamp counts are reported in the result
 metadata (the kappa_ratio clamp fires at the percent level for the
 standard fluctuation spec, which puts its mean two sigma below 1).
+
+A trial whose herald probability is below analytic.HERALD_TOL is
+skipped and counted; a grid point where no trial heralds raises
+NoHeraldError. write_json is the package's one JSON artifact writer.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import avg_fidelity_new, avg_fidelity_old, avg_success
+from .analytic import HERALD_TOL, NoHeraldError, avg_fidelity_new, avg_fidelity_old, avg_success
 from .cavity import CavityParams, reflection_amplitudes
 from .entangle import _bell_new_core, _bell_old_core
 
@@ -39,10 +43,10 @@ __all__ = [
     "mc_infidelity_curve",
     "mc_phase_noise",
     "sweep_1d",
+    "write_json",
 ]
 
 _SCHEMES = ("new", "old")
-_WEIGHT_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,6 @@ def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0) -
     return np.linspace(c_min, c_max, points)
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """One curve: grid, mean values, standard errors, run metadata."""
@@ -176,22 +176,27 @@ class SweepResult:
 
     def to_json(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(self.to_dict(), fh)
 
     def to_dict(self) -> dict:
         return {
-            "metadata": _rounded(self.metadata),
+            "metadata": self.metadata,
             "columns": ["x", "mean", "stderr"],
-            "rows": [[_round12(x), _round12(m), _round12(e)] for x, m, e in self.rows()],
+            "rows": [list(row) for row in self.rows()],
         }
+
+
+def write_json(payload, fh) -> None:
+    """Write one JSON artifact: floats rounded to 12 significant digits,
+    sorted keys, indent 2, a trailing LF, and no NaN or infinity."""
+    fh.write(json.dumps(_rounded(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _rounded(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -241,17 +246,19 @@ def _mc_point(spec: FluctuationSpec, scheme: str, c_mean: float, index: int):
     if scheme == "new":
         with np.errstate(divide="ignore", invalid="ignore"):
             fid, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, f2 - f1)
-        valid = weight > _WEIGHT_FLOOR
+        p_herald = 0.5 * weight
     else:
         num_phi, den_phi, num_psi, den_psi = _bell_old_core(rc1, rnc1, rc2, rnc2)
         total = den_phi + den_psi
-        valid = total > _WEIGHT_FLOOR
+        p_herald = total / 16.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # herald-probability-weighted average over the two branches
             fid = (num_phi + num_psi) / total
-    infid = 1.0 - fid[valid]
+    infid = 1.0 - fid[p_herald >= HERALD_TOL]
     n_valid = infid.size
-    mean = float(np.mean(infid)) if n_valid else math.nan
+    if n_valid == 0:
+        raise NoHeraldError(f"nothing heralds in any of the {n} trials at C = {c_mean:.6g}")
+    mean = float(np.mean(infid))
     stderr = float(np.std(infid, ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
     return mean, stderr, n - n_valid, cl_c1 + cl_c2, cl_k1 + cl_k2
 
@@ -280,7 +287,8 @@ def mc_infidelity_curve(spec: FluctuationSpec, scheme: str, c_grid=None) -> Swee
     its two branches. Per-point means are then smoothed with a centered
     moving average of `spec.window` neighboring points (window 1 leaves
     them untouched). Samples where nothing heralds are skipped and
-    counted in the metadata.
+    counted in the metadata; a grid point where no sample heralds
+    raises NoHeraldError.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")

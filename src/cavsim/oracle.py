@@ -34,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .analytic import GateResult, JointState, _reduce_phase
+from .analytic import HERALD_TOL, GateResult, JointState, _reduce_phase
 from .cavity import ReflectionPair
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 CONSERVATION_TOL = 1e-12
-HERALD_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

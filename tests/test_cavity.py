@@ -1,16 +1,12 @@
 """Reflection coefficient checks: hand-computed points, symmetries,
-passivity, and the dimensionful-to-dimensionless reduction."""
-
-import math
+and passivity."""
 
 import numpy as np
 import pytest
 
 from cavsim import (
     CavityParams,
-    RawCavityParams,
     ReflectionPair,
-    reduce_params,
     reflection_amplitudes,
     reflection_lossless,
     reflection_lossy,
@@ -96,37 +92,6 @@ def test_vectorized_matches_scalar():
         assert rnc[i] == snc
 
 
-def test_reduce_params():
-    raw = RawCavityParams(
-        g=math.sqrt(2.0 * 2.5 * 3.0 * 3.0),  # C = g^2/(2 kappa gamma) = 3
-        kappa=2.5,
-        kappa_r=2.3,
-        gamma=3.0,
-        omega_p=0.3,
-        omega_c=0.0,
-        omega_a=-0.6,
-    )
-    p = reduce_params(raw, zeta=0.92)
-    assert p.c == pytest.approx(3.0, abs=1e-12)
-    assert p.delta_c == pytest.approx(0.12, abs=1e-15)
-    assert p.delta_a == pytest.approx(0.3, abs=1e-15)
-    assert p.kappa_ratio == pytest.approx(0.92, abs=1e-15)
-    assert p.zeta == 0.92
-
-
-def test_reduce_params_matches_direct_reflection():
-    raw = RawCavityParams(g=4.0, kappa=2.0, kappa_r=1.8, gamma=1.5, omega_p=0.5, omega_c=0.2, omega_a=0.9)
-    p = reduce_params(raw)
-    refl = reflection_lossy(p)
-    # same numbers straight from the rates
-    c = raw.g**2 / (2 * raw.kappa * raw.gamma)
-    rc, rnc = reflection_amplitudes(
-        c, (raw.omega_p - raw.omega_c) / raw.kappa, (raw.omega_p - raw.omega_a) / raw.gamma, raw.kappa_r / raw.kappa
-    )
-    assert abs(refl.r_c - rc) < 1e-15
-    assert abs(refl.r_nc - rnc) < 1e-15
-
-
 def test_ideal_pair():
     refl = ReflectionPair.ideal()
     assert refl.r_c == 1.0 and refl.r_nc == -1.0
@@ -154,17 +119,3 @@ def test_reflection_pair_rejects_gain():
 def test_cavity_params_validation(kwargs):
     with pytest.raises(ValueError):
         CavityParams(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(g=1.0, kappa=0.0, kappa_r=0.0, gamma=1.0, omega_p=0, omega_c=0, omega_a=0),
-        dict(g=-1.0, kappa=1.0, kappa_r=1.0, gamma=1.0, omega_p=0, omega_c=0, omega_a=0),
-        dict(g=1.0, kappa=1.0, kappa_r=1.5, gamma=1.0, omega_p=0, omega_c=0, omega_a=0),
-        dict(g=1.0, kappa=1.0, kappa_r=1.0, gamma=1.0, omega_p=float("nan"), omega_c=0, omega_a=0),
-    ],
-)
-def test_raw_params_validation(kwargs):
-    with pytest.raises(ValueError):
-        RawCavityParams(**kwargs)

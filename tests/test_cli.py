@@ -182,3 +182,20 @@ def test_validate_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "validation.json").read_text())
     assert doc["passed"] is True
     assert len(doc["reports"]) == 4
+
+
+def test_mc_grid_point_without_herald_exits_3(tmp_path, capsys):
+    # empty cavities (kappa_ratio 0 with no spread) never herald in the
+    # new scheme; the run must fail instead of writing NaN
+    spec_file = tmp_path / "dead.json"
+    spec_file.write_text(json.dumps({
+        "cavity1_kappa_ratio_mean": 0.0, "cavity1_kappa_ratio_sigma": 0.0,
+        "cavity2_kappa_ratio_mean": 0.0, "cavity2_kappa_ratio_sigma": 0.0,
+    }))
+    out = tmp_path / "out"
+    code = main(["mc", "--scheme", "both", "--spec", str(spec_file), "--points", "4",
+                 "--trials", "50", "--out", str(out)])
+    assert code == EXIT_NO_HERALD
+    assert "nothing heralds" in capsys.readouterr().err
+    for path in out.rglob("*") if out.exists() else ():
+        assert b"nan" not in path.read_bytes().lower()

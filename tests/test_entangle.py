@@ -16,6 +16,8 @@ from cavsim import (
     two_atoms_one_cavity,
     two_atoms_one_cavity_from_reflections,
 )
+from cavsim.cavity import reflection_lossy
+from cavsim.oracle import HERALD_TOL, run_remote_new
 
 IDEAL_NODE = CavityParams(c=1e9)
 
@@ -99,6 +101,22 @@ def test_no_herald_when_contrast_vanishes():
     flat = CavityParams(c=5.0, kappa_ratio=0.0)
     with pytest.raises(NoHeraldError):
         atom_atom_new(TwoCavitySetup(flat, flat))
+
+
+@pytest.mark.parametrize("kappa_ratio", [1e-6, 2e-6])
+def test_no_herald_agrees_with_oracle(kappa_ratio):
+    # nearly empty cavities put the herald probability (~0.76e-12 at
+    # 1e-6, ~3e-12 at 2e-6) on either side of the one threshold
+    p1 = CavityParams(c=4.0, kappa_ratio=kappa_ratio)
+    p2 = CavityParams(c=3.0, kappa_ratio=kappa_ratio)
+    net = run_remote_new(reflection_lossy(p1), reflection_lossy(p2))
+    if net.herald_probability < HERALD_TOL:
+        with pytest.raises(NoHeraldError):
+            atom_atom_new(TwoCavitySetup(p1, p2))
+    else:
+        fid = atom_atom_new(TwoCavitySetup(p1, p2))
+        assert fid == pytest.approx(net.fidelity_v, abs=1e-10)
+        assert fid == pytest.approx(net.fidelity_h, abs=1e-10)
 
 
 def test_two_atoms_one_cavity_frozen_points():

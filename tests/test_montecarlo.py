@@ -22,7 +22,7 @@ from cavsim import (
     mc_phase_noise,
     sweep_1d,
 )
-from cavsim.montecarlo import _n_threads
+from cavsim.montecarlo import _n_threads, write_json
 
 SMALL_GRID = np.linspace(1.0, 10.0, 16)
 
@@ -185,6 +185,13 @@ def test_csv_and_json_serialization(tmp_path):
     # 12 significant digits survive the file boundary
     assert doc["rows"][0][1] == pytest.approx(res.means[0], rel=1e-11)
     assert doc["metadata"]["seed"] == 99
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with open(tmp_path / "bad.json", "w") as fh:
+        with pytest.raises(ValueError):
+            write_json({"mean": math.nan}, fh)
+    assert (tmp_path / "bad.json").read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------
