@@ -13,10 +13,10 @@ from cavsim import (
     TwoCavitySetup,
     atom_atom_new,
     atom_atom_old,
+    reflection_lossy,
     two_atoms_one_cavity,
     two_atoms_one_cavity_from_reflections,
 )
-from cavsim.cavity import reflection_lossy
 from cavsim.oracle import HERALD_TOL, run_remote_new
 
 IDEAL_NODE = CavityParams(c=1e9)
