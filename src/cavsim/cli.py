@@ -187,6 +187,9 @@ def cmd_gate(args) -> int:
     state = _state_from_config(cfg)
     phi = float(cfg["phi"])
     att = float(cfg["v_attenuation"])
+    for name, value in (("phi", phi), ("v_attenuation", att)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     if args.scheme == "new":
         res = cz_new(params, state, phi=phi, v_attenuation=att)
@@ -288,15 +291,14 @@ def _spec_from_args(args) -> FluctuationSpec:
 
 def cmd_mc(args) -> int:
     spec = _spec_from_args(args)
-    if not (math.isfinite(args.cmin) and 0.0 < args.cmin < args.cmax):
+    if not (math.isfinite(args.cmin) and math.isfinite(args.cmax) and 0.0 < args.cmin < args.cmax):
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
     if args.points < 1:
         raise ValueError("mc needs at least 1 grid point")
     grid = np.linspace(args.cmin, args.cmax, args.points)
-    schemes = ("new", "old") if args.scheme == "both" else (args.scheme,)
-    for scheme in schemes:
-        result = mc_infidelity_curve(spec, scheme, grid)
-        _emit_result(result, args, f"mc_{scheme}")
+    result = mc_infidelity_curve(spec, args.scheme, grid)
+    for curve in result if args.scheme == "both" else (result,):
+        _emit_result(curve, args, f"mc_{curve.metadata['scheme']}")
     return 0
 
 

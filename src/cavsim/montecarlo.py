@@ -6,7 +6,10 @@ Randomness is drawn from counter-based Philox streams keyed by
 the two interferometer phases). Results are therefore bit-identical
 however the grid points are scheduled, including under the optional
 thread pool sized by the CAVSIM_THREADS environment variable and capped
-at the number of CPUs.
+at the number of CPUs. The stream does not depend on the scheme, so
+one pass draws each grid point and reflects each cavity once, and both
+schemes' kernels read the same arrays. trials x workers is bounded by
+MAX_TRIALS_IN_FLIGHT before anything is drawn.
 
 Out-of-range draws are clamped, not resampled: C at 0 from below and
 kappa_ratio into [0, 1]. Clamp counts are reported in the result
@@ -47,6 +50,12 @@ __all__ = [
 ]
 
 _SCHEMES = ("new", "old")
+
+# Bound on trials x workers for one mc run. Each worker holds one grid
+# point's draws, reflections and kernel temporaries at a time: ~264
+# bytes per trial, the peak-RSS slope of `mc --scheme both` on one
+# thread between 2e5 and 1e6 trials. The bound keeps that near 1.1 GB.
+MAX_TRIALS_IN_FLIGHT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -230,8 +239,14 @@ def _draw_cavity(rng, cav: CavityFluctuation, c_mean: float, n: int):
     return np.maximum(c, 0.0), np.clip(kr, 0.0, 1.0), dc, da, clamped_c, clamped_kr
 
 
-def _mc_point(spec: FluctuationSpec, scheme: str, c_mean: float, index: int):
-    """Mean infidelity at one grid point from its own Philox stream."""
+def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
+    """Infidelity statistics of each scheme in `schemes` at one grid point.
+
+    The point's Philox stream is drawn once and each cavity reflected
+    once; every scheme's kernel reads those shared arrays. Returns one
+    (mean, stderr, skipped) per scheme, None where nothing heralds, then
+    the clamp counts.
+    """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
     )
@@ -243,6 +258,13 @@ def _mc_point(spec: FluctuationSpec, scheme: str, c_mean: float, index: int):
 
     rc1, rnc1 = reflection_amplitudes(c1, dc1, da1, k1)
     rc2, rnc2 = reflection_amplitudes(c2, dc2, da2, k2)
+    stats = [_infidelity_stats(s, rc1, rnc1, rc2, rnc2, f1, f2) for s in schemes]
+    return stats, cl_c1 + cl_c2, cl_k1 + cl_k2
+
+
+def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
+    """(mean, stderr, skipped) of one scheme's infidelity over the heralded
+    trials, or None if none heralds. Its temporaries die on return."""
     if scheme == "new":
         with np.errstate(divide="ignore", invalid="ignore"):
             fid, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, f2 - f1)
@@ -257,10 +279,10 @@ def _mc_point(spec: FluctuationSpec, scheme: str, c_mean: float, index: int):
     infid = 1.0 - fid[p_herald >= HERALD_TOL]
     n_valid = infid.size
     if n_valid == 0:
-        raise NoHeraldError(f"nothing heralds in any of the {n} trials at C = {c_mean:.6g}")
+        return None
     mean = float(np.mean(infid))
     stderr = float(np.std(infid, ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
-    return mean, stderr, n - n_valid, cl_c1 + cl_c2, cl_k1 + cl_k2
+    return mean, stderr, fid.size - n_valid
 
 
 def _moving_average(means, stderrs, window: int):
@@ -277,7 +299,9 @@ def _moving_average(means, stderrs, window: int):
     return out_m, out_e
 
 
-def mc_infidelity_curve(spec: FluctuationSpec, scheme: str, c_grid=None) -> SweepResult:
+def mc_infidelity_curve(
+    spec: FluctuationSpec, scheme: str, c_grid=None
+) -> SweepResult | tuple[SweepResult, SweepResult]:
     """Mean atom-atom infidelity versus cooperativity under fluctuations.
 
     For each grid point both cavities are redrawn spec.trials times with
@@ -288,10 +312,18 @@ def mc_infidelity_curve(spec: FluctuationSpec, scheme: str, c_grid=None) -> Swee
     moving average of `spec.window` neighboring points (window 1 leaves
     them untouched). Samples where nothing heralds are skipped and
     counted in the metadata; a grid point where no sample heralds
-    raises NoHeraldError.
+    raises NoHeraldError (the new scheme's first such point is reported
+    before the old scheme's).
+
+    scheme "new" or "old" returns one SweepResult; "both" returns the
+    (new, old) pair from a single pass over the grid, each curve equal
+    bit for bit to its own single-scheme call. A run whose trials times
+    workers exceeds MAX_TRIALS_IN_FLIGHT raises ValueError before any
+    draw.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")
+    if scheme not in _SCHEMES + ("both",):
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'new', 'old' or 'both'")
+    schemes = _SCHEMES if scheme == "both" else (scheme,)
     grid = default_c_grid() if c_grid is None else np.asarray(c_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c_grid must be a non-empty 1-d array")
@@ -300,51 +332,66 @@ def mc_infidelity_curve(spec: FluctuationSpec, scheme: str, c_grid=None) -> Swee
 
     points = list(enumerate(grid))
     workers = min(_n_threads(), len(points))
+    if spec.trials * workers > MAX_TRIALS_IN_FLIGHT:
+        raise ValueError(
+            f"{spec.trials} trials on {workers} worker(s) exceed the memory bound of "
+            f"{MAX_TRIALS_IN_FLIGHT} trials x workers; use fewer trials or CAVSIM_THREADS"
+        )
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda iv: _mc_point(spec, scheme, iv[1], iv[0]), points))
+            results = list(pool.map(lambda iv: _mc_point(spec, schemes, iv[1], iv[0]), points))
     else:
-        results = [_mc_point(spec, scheme, c, i) for i, c in points]
+        results = [_mc_point(spec, schemes, c, i) for i, c in points]
 
-    raw_means = [r[0] for r in results]
-    raw_errs = [r[1] for r in results]
-    skipped = sum(r[2] for r in results)
-    clamped_c = sum(r[3] for r in results)
-    clamped_kr = sum(r[4] for r in results)
-    means, errs = _moving_average(raw_means, raw_errs, spec.window)
-
-    meta = dict(spec.to_flat_dict())
-    meta.update(
-        {
-            "kind": "mc_infidelity_curve",
-            "scheme": scheme,
-            "skipped_no_herald": skipped,
-            "clamped_c": clamped_c,
-            "clamped_kappa_ratio": clamped_kr,
-            "grid_points": int(grid.size),
-        }
-    )
-    return SweepResult(
-        xs=tuple(float(x) for x in grid),
-        means=tuple(means),
-        stderrs=tuple(errs),
-        metadata=meta,
-    )
+    clamped_c = sum(r[1] for r in results)
+    clamped_kr = sum(r[2] for r in results)
+    curves = []
+    for k, name in enumerate(schemes):
+        stats = [r[0][k] for r in results]
+        for c, st in zip(grid, stats):
+            if st is None:
+                raise NoHeraldError(
+                    f"nothing heralds in any of the {spec.trials} trials at C = {c:.6g}"
+                )
+        means, errs = _moving_average([st[0] for st in stats], [st[1] for st in stats],
+                                      spec.window)
+        meta = dict(spec.to_flat_dict())
+        meta.update(
+            {
+                "kind": "mc_infidelity_curve",
+                "scheme": name,
+                "skipped_no_herald": sum(st[2] for st in stats),
+                "clamped_c": clamped_c,
+                "clamped_kappa_ratio": clamped_kr,
+                "grid_points": int(grid.size),
+            }
+        )
+        curves.append(
+            SweepResult(
+                xs=tuple(float(x) for x in grid),
+                means=tuple(means),
+                stderrs=tuple(errs),
+                metadata=meta,
+            )
+        )
+    return tuple(curves) if scheme == "both" else curves[0]
 
 
 def mc_phase_noise(
     spec: FluctuationSpec, scheme: str, sigma_phi: float, c_grid=None
-) -> SweepResult:
+) -> SweepResult | tuple[SweepResult, SweepResult]:
     """Same curve with both interferometer phases drawn as N(0, sigma_phi).
 
     With sigma_phi = 0 this reproduces mc_infidelity_curve bit for bit
-    (the phase draws still consume the same stream positions).
+    (the phase draws still consume the same stream positions); scheme
+    "both" returns the (new, old) pair as there.
     """
     noisy = replace(
         spec, phi1=GaussianSpec(0.0, sigma_phi), phi2=GaussianSpec(0.0, sigma_phi)
     )
     result = mc_infidelity_curve(noisy, scheme, c_grid)
-    result.metadata["kind"] = "mc_phase_noise"
+    for curve in result if scheme == "both" else (result,):
+        curve.metadata["kind"] = "mc_phase_noise"
     return result
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cavsim import montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
 from cavsim.cli import EXIT_CONFIG_ERROR, EXIT_NO_HERALD, EXIT_VALIDATION_FAILED, main
 
@@ -186,7 +187,8 @@ def test_validate_command(tmp_path, capsys):
 
 def test_mc_grid_point_without_herald_exits_3(tmp_path, capsys):
     # empty cavities (kappa_ratio 0 with no spread) never herald in the
-    # new scheme; the run must fail instead of writing NaN
+    # new scheme; the run must fail, naming the new scheme's first failing
+    # C, before any mc_* file is written
     spec_file = tmp_path / "dead.json"
     spec_file.write_text(json.dumps({
         "cavity1_kappa_ratio_mean": 0.0, "cavity1_kappa_ratio_sigma": 0.0,
@@ -196,6 +198,46 @@ def test_mc_grid_point_without_herald_exits_3(tmp_path, capsys):
     code = main(["mc", "--scheme", "both", "--spec", str(spec_file), "--points", "4",
                  "--trials", "50", "--out", str(out)])
     assert code == EXIT_NO_HERALD
-    assert "nothing heralds" in capsys.readouterr().err
-    for path in out.rglob("*") if out.exists() else ():
-        assert b"nan" not in path.read_bytes().lower()
+    captured = capsys.readouterr()
+    assert captured.err == "error: nothing heralds in any of the 50 trials at C = 1\n"
+    assert captured.out == ""
+    assert list(tmp_path.rglob("mc_*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gate --scheme new --phi nan", "phi must be finite"),
+        ("gate --scheme new --phi inf", "phi must be finite"),
+        ("gate --scheme new --phi nan --format json", "phi must be finite"),
+        ("gate --scheme new --v-attenuation nan", "v_attenuation must be finite"),
+        ("mc --scheme new --cmax inf --points 3 --trials 10", "bad cooperativity range"),
+    ],
+    ids=["phi-nan", "phi-inf", "phi-nan-json", "v-attenuation-nan", "cmax-inf"],
+)
+def test_non_finite_option_is_a_config_error(tmp_path, capsys, argv, message):
+    code = main(argv.split() + (["--out", str(tmp_path)] if argv.startswith("mc") else []))
+    assert code == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_phase_in_config_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "point.json"
+    cfg.write_text('{"c": 4.0, "phi": NaN}')  # json.load accepts the NaN token
+    code = main(["gate", "--scheme", "new", "--config", str(cfg)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "phi must be finite" in capsys.readouterr().err
+
+
+def test_mc_over_trials_bound_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    code = main(["mc", "--scheme", "both", "--trials", str(10**8), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "memory bound" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,12 @@ import json
 import math
 import os
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cavsim import montecarlo
 from cavsim import (
     CavityParams,
     FluctuationSpec,
@@ -22,7 +25,7 @@ from cavsim import (
     mc_phase_noise,
     sweep_1d,
 )
-from cavsim.montecarlo import _n_threads, write_json
+from cavsim.montecarlo import MAX_TRIALS_IN_FLIGHT, _n_threads, write_json
 
 SMALL_GRID = np.linspace(1.0, 10.0, 16)
 
@@ -75,6 +78,56 @@ def test_thread_count_capped_at_cpu_count(monkeypatch):
     assert _n_threads() == os.cpu_count()
     monkeypatch.setenv("CAVSIM_THREADS", "1")
     assert _n_threads() == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_both_schemes_equal_separate_runs_bit_for_bit(monkeypatch, threads):
+    # kappa_ratio ~ N(0.05, 0.1) clamps a third of the cavities to 0; where
+    # both are, the new scheme heralds nothing, so its skip count is exercised
+    monkeypatch.setenv("CAVSIM_THREADS", threads)
+    base = replace(standard_fluctuation_spec(trials=400, seed=99, sigma_phi=0.2), window=3)
+    leaky = replace(base.cavity1, kappa_ratio=GaussianSpec(0.05, 0.1))
+    spec = replace(base, cavity1=leaky, cavity2=leaky)
+    new, old = mc_infidelity_curve(spec, "both", SMALL_GRID)
+    for shared, alone in ((new, mc_infidelity_curve(spec, "new", SMALL_GRID)),
+                          (old, mc_infidelity_curve(spec, "old", SMALL_GRID))):
+        assert shared.xs == alone.xs
+        assert shared.means == alone.means
+        assert shared.stderrs == alone.stderrs
+        assert shared.metadata == alone.metadata
+    assert new.metadata["scheme"] == "new" and old.metadata["scheme"] == "old"
+    assert new.metadata["skipped_no_herald"] > 0
+    assert new.metadata["clamped_kappa_ratio"] > 0
+
+
+def test_both_schemes_reflect_each_cavity_once(monkeypatch):
+    monkeypatch.setenv("CAVSIM_THREADS", "1")
+    calls = []
+    original = montecarlo.reflection_amplitudes
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, "reflection_amplitudes", counted)
+    grid = np.linspace(1.0, 10.0, 5)
+    mc_infidelity_curve(_small_spec(), "both", grid)
+    assert len(calls) == 2 * grid.size
+
+
+def test_trials_bound_stops_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    monkeypatch.setenv("CAVSIM_THREADS", "1")
+    with pytest.raises(ValueError, match="memory bound"):
+        mc_infidelity_curve(_small_spec(trials=MAX_TRIALS_IN_FLIGHT + 1), "both", SMALL_GRID)
+    # the bound is on trials x workers; only the count is checked, no pool starts
+    monkeypatch.setattr(montecarlo, "_n_threads", lambda: 2)
+    half = _small_spec(trials=MAX_TRIALS_IN_FLIGHT // 2 + 1)
+    with pytest.raises(ValueError, match="memory bound"):
+        mc_infidelity_curve(half, "new", SMALL_GRID)
 
 
 def test_zero_phase_noise_matches_plain_curve():
