@@ -5,7 +5,6 @@ import csv
 import json
 import math
 import os
-
 from dataclasses import replace
 
 import numpy as np
