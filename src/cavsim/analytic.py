@@ -29,6 +29,7 @@ __all__ = [
     "JointState",
     "GateResult",
     "NoHeraldError",
+    "QuadratureError",
     "cz_new",
     "cz_new_from_reflections",
     "cz_old",
@@ -45,7 +46,7 @@ __all__ = [
 HERALD_TOL = 1e-12
 
 _QUAD_TOL = 1e-8
-_QUAD_MAX_ORDER = 4096
+_QUAD_MAX_ORDER = 256
 
 
 class NoHeraldError(RuntimeError):
@@ -241,15 +242,20 @@ def cz_old(p: CavityParams, state: JointState) -> GateResult:
 # With theta the polar angle, |beta|^2 = sin^2(theta/2) is uniform on
 # [0, 1] under the sphere measure, and every closed form above depends
 # on the qubit amplitudes only through |.|^2, so the azimuthal averages
-# are exact. What remains is Gauss-Legendre quadrature over the
-# population(s), with the order doubled until the result moves by less
-# than _QUAD_TOL or reaches _QUAD_MAX_ORDER.
+# are exact. The success probabilities are linear in each population and
+# the new scheme's fidelity is quadratic over linear in b = |beta_p|^2,
+# so those averages are closed forms; only the old scheme's fidelity is
+# left to order-doubling Gauss-Legendre quadrature (_adaptive).
+
+
+class QuadratureError(RuntimeError):
+    """The old scheme's fidelity average has not settled by _QUAD_MAX_ORDER."""
 
 
 @lru_cache(maxsize=None)
 def _nodes01(order: int):
-    # Every average asks for the same few orders; the cached arrays are
-    # shared by all callers, hence read-only.
+    # Every old-scheme average asks for the same few orders; the cached
+    # arrays are shared by all of them, hence read-only.
     x, w = np.polynomial.legendre.leggauss(order)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.setflags(write=False)
@@ -266,68 +272,61 @@ def _adaptive(evaluate):
         if abs(cur - prev) < _QUAD_TOL:
             return cur
         prev = cur
-    raise RuntimeError("Bloch-average quadrature failed to converge")
-
-
-def _masked_average(values, success, weights) -> float:
-    valid = success >= HERALD_TOL
-    wsum = float(np.sum(weights * valid))
-    if wsum <= 0.0:
-        raise NoHeraldError("gate heralds nowhere on the Bloch sphere")
-    vals = np.where(valid, values, 0.0)
-    return float(np.sum(weights * vals) / wsum)
-
-
-def _bloch_average(p: CavityParams, scheme: str, quantity: str, phi: float = 0.0) -> float:
-    """Average `quantity` ("fidelity" or "success") of one scheme.
-
-    The new scheme depends on the photon population only (one sphere);
-    the old scheme's loss depends on the atom too (two spheres, nodes
-    broadcast along separate axes). Fidelity points that do not herald
-    are skipped with their weight renormalized.
-    """
-    refl = reflection_lossy(p)
-    if scheme == "new":
-        phase = cmath.exp(1j * _reduce_phase(phi))
-
-        def kernel(order):
-            b, w = _nodes01(order)
-            num, success, *_ = _new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, phase, 1.0)
-            return num, success, w
-
-    elif scheme == "old":
-
-        def kernel(order):
-            b, w = _nodes01(order)
-            bp, ba = b[:, None], b[None, :]
-            num, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
-            return num, success, np.outer(w, w)
-
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")
-
-    def evaluate(order):
-        num, success, w = kernel(order)
-        if quantity == "success":
-            return float(np.sum(w * success))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _masked_average(num / success, success, w)
-
-    return _adaptive(evaluate)
+    raise QuadratureError(f"Bloch-average quadrature did not converge by order {_QUAD_MAX_ORDER}")
 
 
 def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
     """Fidelity of cz_new averaged over the photon Bloch sphere (the
-    new scheme's fidelity does not depend on the atomic state)."""
-    return _bloch_average(p, "new", "fidelity", phi)
+    new scheme's fidelity does not depend on the atomic state).
+
+    With g = (r_c - r_nc)/2 and eps = zeta |g|^2 the heralded fidelity is
+    (1 + B b + C b^2) / (1 - s b): s = 1 - eps, B = 2 zeta Re(exp(-i phi) g) - 2,
+    C = -1 - B + eps. It is at most 1 and equals 1 at b = 1, so the exact
+    average always exists. Below s = 0.5, where the logarithm form cancels
+    badly, it is summed as a power series in s (60 terms, rest < 0.5^60)."""
+    refl = reflection_lossy(p)
+    g = 0.5 * (refl.r_c - refl.r_nc)
+    eps = p.zeta * abs(g) ** 2
+    zr = p.zeta * (cmath.exp(-1j * _reduce_phase(phi)) * g).real
+    s = 1.0 - eps
+    b1, c2 = 2.0 * zr - 2.0, 1.0 - 2.0 * zr + eps
+    if s < 0.5:  # sum over k of s^k times the integral of num(b) b^k
+        return sum(s**k * (1.0 / (k + 1) + b1 / (k + 2) + c2 / (k + 3)) for k in range(60))
+    # num = (q1 b + q0)(1 - s b) + num(1/s), and num(1/s) = eps C / s^2
+    q1 = -c2 / s
+    q0 = (q1 - b1) / s
+    return 0.5 * q1 + q0 + (eps * c2 / s**3 * -math.log(eps) if eps > 0.0 else 0.0)
 
 
 def avg_fidelity_old(p: CavityParams) -> float:
-    """Fidelity of cz_old averaged over photon and atom Bloch spheres."""
-    return _bloch_average(p, "old", "fidelity")
+    """Fidelity of cz_old averaged over photon and atom Bloch spheres,
+    one node axis per sphere. Nodes that do not herald are skipped with
+    their weight renormalized."""
+    refl = reflection_lossy(p)
+
+    def evaluate(order):
+        b, w = _nodes01(order)
+        bp, ba = b[:, None], b[None, :]
+        num, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
+        valid = success >= HERALD_TOL
+        weights = np.outer(w, w) * valid
+        wsum = float(np.sum(weights))
+        if wsum <= 0.0:
+            raise NoHeraldError("gate heralds nowhere on the Bloch sphere")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.sum(weights * np.where(valid, num / success, 0.0)) / wsum)
+
+    return _adaptive(evaluate)
 
 
-def avg_success(p: CavityParams, scheme: str, phi: float = 0.0) -> float:
-    """Bloch-averaged success probability of either scheme; phi is
-    accepted for symmetry (the new scheme's success ignores it)."""
-    return _bloch_average(p, scheme, "success", phi)
+def avg_success(p: CavityParams, scheme: str) -> float:
+    """Bloch-averaged success probability of either scheme: the new
+    scheme's 1 - (1 - zeta |g|^2) b averages to (1 + zeta |g|^2)/2, the
+    old scheme's 1 - zeta (t_nc + b_p b_a (t_c - t_nc)) to
+    1 - zeta (3 t_nc + t_c)/4."""
+    refl = reflection_lossy(p)
+    if scheme == "new":
+        return 0.5 * (1.0 + p.zeta * abs(0.5 * (refl.r_c - refl.r_nc)) ** 2)
+    if scheme == "old":
+        return 1.0 - p.zeta * (3.0 * refl.t_nc_sq + refl.t_c_sq) / 4.0
+    raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")

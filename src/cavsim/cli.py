@@ -9,7 +9,8 @@ Commands:
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error,
 3 nothing heralds (the gate at its operating point, or every trial of
-an mc grid point).
+an mc grid point), 4 a sweep's old-scheme fidelity average did not
+converge. Exits 3 and 4 write no file.
 
 All emitted numbers carry 12 significant digits and files use LF line
 endings; with a fixed seed, repeated runs are byte-identical (no
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validate as validate_mod
-from .analytic import JointState, NoHeraldError, cz_new, cz_old
+from .analytic import JointState, NoHeraldError, QuadratureError, cz_new, cz_old
 from .cavity import CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
@@ -43,6 +44,9 @@ from .oracle import run_cz_new, run_cz_old
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_HERALD = 3
+EXIT_NO_CONVERGENCE = 4
+
+MAX_GRID_POINTS = 10**6  # --points bound of sweep and mc, checked before allocating
 
 ORACLE_AGREEMENT_TOL = 1e-10
 
@@ -135,13 +139,7 @@ def _state_from_config(cfg: dict) -> JointState:
 
 
 def _params_from_config(cfg: dict) -> CavityParams:
-    return CavityParams(
-        c=float(cfg["c"]),
-        delta_c=float(cfg["delta_c"]),
-        delta_a=float(cfg["delta_a"]),
-        kappa_ratio=float(cfg["kappa_ratio"]),
-        zeta=float(cfg["zeta"]),
-    )
+    return CavityParams(**{key: float(cfg[key]) for key in _GATE_PARAM_KEYS})
 
 
 def _gate_result_dict(res) -> dict:
@@ -258,12 +256,12 @@ def cmd_sweep(args) -> int:
     hi = args.max if args.max is not None else hi
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad sweep range [{lo}, {hi}]")
-    if args.points < 2:
-        raise ValueError("sweep needs at least 2 points")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"sweep needs 2 to {MAX_GRID_POINTS} points, got {args.points}")
     values = np.linspace(lo, hi, args.points)
     schemes = ("new", "old") if args.scheme == "both" else (args.scheme,)
-    for scheme in schemes:
-        result = sweep_1d(base, args.axis, values, scheme, args.quantity)
+    results = [sweep_1d(base, args.axis, values, scheme, args.quantity) for scheme in schemes]
+    for scheme, result in zip(schemes, results):
         _emit_result(result, args, f"sweep_{args.axis}_{args.quantity}_{scheme}")
     return 0
 
@@ -293,8 +291,8 @@ def cmd_mc(args) -> int:
     spec = _spec_from_args(args)
     if not (math.isfinite(args.cmin) and math.isfinite(args.cmax) and 0.0 < args.cmin < args.cmax):
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
-    if args.points < 1:
-        raise ValueError("mc needs at least 1 grid point")
+    if not 1 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"mc needs 1 to {MAX_GRID_POINTS} grid points, got {args.points}")
     grid = np.linspace(args.cmin, args.cmax, args.points)
     result = mc_infidelity_curve(spec, args.scheme, grid)
     for curve in result if args.scheme == "both" else (result,):
@@ -413,6 +411,9 @@ def main(argv=None) -> int:
     except NoHeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HERALD
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

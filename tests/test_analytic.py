@@ -257,6 +257,85 @@ def test_average_fidelity_old_against_monte_carlo():
     assert abs(avg_fidelity_old(BASELINE) - mc) < 5.0 * err + 1e-9
 
 
+# 40-digit mpmath integrals of the exact integrands, to 20 digits
+# (params, phi, value)
+MPMATH_FIDELITY_NEW = [
+    # the gate barely acts; order-4096 quadrature did not converge here
+    (CavityParams(c=3.3766, delta_c=-0.398, delta_a=0.257, kappa_ratio=0.00019, zeta=0.857),
+     0.0, 0.50012024867901344725),
+    # zeta = 0: no light reaches the cavity mode, fidelity (1 - b)
+    (CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.0), 0.0, 0.5),
+    # s = 1 - zeta |g|^2 of order 1e-3 and 1e-6, with phi near pi
+    (CavityParams(c=925.0, kappa_ratio=1.0, zeta=1.0), math.pi, 0.33333334306754018936),
+    (CavityParams(c=925.0, kappa_ratio=1.0, zeta=1.0), 3.14, 0.33333376582498997065),
+    (CavityParams(c=925.0, delta_c=0.02, delta_a=-0.01, kappa_ratio=0.9999, zeta=0.9995),
+     -3.1, 0.33404869053571047),
+    (CavityParams(c=1e6, kappa_ratio=1.0, zeta=1.0), math.nextafter(math.pi, 0.0),
+     0.33333333333334166666),
+    # s = 0.556 and 0.390, on either side of the series switch-over
+    (CavityParams(c=1.0, kappa_ratio=1.0, zeta=1.0), math.pi, 0.33869755675756710048),
+    (BASELINE, 0.0, 0.97658299666225890023),
+]
+
+
+@pytest.mark.parametrize("params, phi, expected", MPMATH_FIDELITY_NEW)
+def test_average_fidelity_new_matches_mpmath(params, phi, expected):
+    assert avg_fidelity_new(params, phi) == pytest.approx(expected, rel=0.0, abs=5e-15)
+
+
+def test_average_success_old_rounds_correctly_at_a_tie():
+    # mpmath: 0.77923680526449997936, 2e-17 below the 12-digit tie; the
+    # nearest double lies above it, so the artifact shows ...265
+    p = CavityParams(c=4.0, delta_c=0.74, kappa_ratio=0.916, zeta=0.92)
+    value = avg_success(p, "old")
+    assert abs(value - 0.77923680526449997936) <= math.ulp(value) / 2
+
+
+def _gauss_legendre_fidelity_new(p, phi):
+    """Reference: the order-doubling quadrature of the heralded fidelity,
+    or None if it has not settled by order 256."""
+    refl = reflection_lossy(p)
+    phase = complex(math.cos(phi), math.sin(phi))
+    prev = None
+    for order in (8, 16, 32, 64, 128, 256):
+        b, w = analytic._nodes01(order)
+        num, success, *_ = analytic._new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, phase, 1.0)
+        cur = float(np.sum(w * num / success))
+        if prev is not None and abs(cur - prev) < 1e-11:
+            return cur
+        prev = cur
+    return None
+
+
+def test_average_fidelity_new_matches_gauss_legendre():
+    rng = np.random.default_rng(31)
+    compared = 0
+    for _ in range(200):
+        p = random_cavity_params(rng)
+        phi = float(rng.uniform(-math.pi, math.pi))
+        reference = _gauss_legendre_fidelity_new(p, phi)
+        if reference is None:
+            continue
+        compared += 1
+        assert avg_fidelity_new(p, phi) == pytest.approx(reference, rel=0.0, abs=1e-9)
+    assert compared > 100
+
+
+def test_closed_form_success_matches_gauss_legendre():
+    rng = np.random.default_rng(32)
+    b, w = analytic._nodes01(8)
+    bp, ba = b[:, None], b[None, :]
+    for _ in range(50):
+        p = random_cavity_params(rng)
+        refl = reflection_lossy(p)
+        _, new, *_ = analytic._new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, 1.0, 1.0)
+        _, old, _ = analytic._old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
+        assert avg_success(p, "new") == pytest.approx(float(np.sum(w * new)), rel=0.0, abs=1e-14)
+        assert avg_success(p, "old") == pytest.approx(
+            float(np.sum(np.outer(w, w) * old)), rel=0.0, abs=1e-14
+        )
+
+
 def test_average_is_phase_aware():
     # a large interferometer phase error must show up in the average
     good = avg_fidelity_new(BALANCE_POINT, phi=0.0)
@@ -311,7 +390,7 @@ def test_quadrature_stops_at_max_order():
         asked.append(order)
         return float(order)
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(analytic.QuadratureError):
         analytic._adaptive(never_converges)
     assert max(asked) == analytic._QUAD_MAX_ORDER
     assert asked == [8 * 2**k for k in range(len(asked))]

@@ -8,7 +8,13 @@ import pytest
 
 from cavsim import montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
-from cavsim.cli import EXIT_CONFIG_ERROR, EXIT_NO_HERALD, EXIT_VALIDATION_FAILED, main
+from cavsim.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_NO_CONVERGENCE,
+    EXIT_NO_HERALD,
+    EXIT_VALIDATION_FAILED,
+    main,
+)
 
 
 def test_gate_old_scheme_reference_point(capsys):
@@ -100,6 +106,44 @@ def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
     code = main("gate --scheme new --c 4 --kr 0.916 --oracle".split())
     assert code == EXIT_VALIDATION_FAILED
     assert "oracle heralds nothing" in capsys.readouterr().err
+
+
+def test_sweep_without_convergence_exits_4(tmp_path, capsys):
+    # near critical coupling the old scheme's fidelity average never
+    # settles; the new scheme's curve, computed first, is not written
+    # either
+    code = main(
+        ["sweep", "--scheme", "both", "--axis", "c", "--min", "1e-6", "--max", "1",
+         "--points", "2", "--kr", "0.5", "--zeta", "1", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_NO_CONVERGENCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Bloch-average quadrature did not converge by order 256\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_where_the_gate_barely_acts_exits_0(tmp_path, capsys):
+    # this sweep used to die in the new scheme's quadrature
+    code = main(
+        ["sweep", "--axis", "zeta", "--scheme", "new", "--c", "3.3766", "--dc", "-0.398",
+         "--da", "0.257", "--kr", "0.00019", "--format", "json", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "sweep_zeta_fidelity_new.json").read_text())
+    assert all(0.5 <= mean <= 0.501 for _x, mean, _err in doc["rows"])
+
+
+@pytest.mark.parametrize("command", ["sweep --scheme new --axis zeta", "mc --scheme new"])
+def test_points_above_bound_exit_2_before_allocating(command, tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code = main(command.split() + ["--points", str(10**9), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "1000000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_files(tmp_path, capsys):
