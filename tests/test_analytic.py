@@ -260,7 +260,7 @@ def test_average_fidelity_old_against_monte_carlo():
 # 40-digit mpmath integrals of the exact integrands, to 20 digits
 # (params, phi, value)
 MPMATH_FIDELITY_NEW = [
-    # the gate barely acts; order-4096 quadrature did not converge here
+    # the gate barely acts: an edge layer near b = 1 that quadrature does not resolve
     (CavityParams(c=3.3766, delta_c=-0.398, delta_a=0.257, kappa_ratio=0.00019, zeta=0.857),
      0.0, 0.50012024867901344725),
     # zeta = 0: no light reaches the cavity mode, fidelity (1 - b)

@@ -109,9 +109,9 @@ def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
 
 
 def test_sweep_without_convergence_exits_4(tmp_path, capsys):
-    # near critical coupling the old scheme's fidelity average never
-    # settles; the new scheme's curve, computed first, is not written
-    # either
+    # where almost nothing reflects (critical coupling at vanishing C) the
+    # old scheme's fidelity average does not settle; the new scheme's
+    # curve, computed first, is not written either
     code = main(
         ["sweep", "--scheme", "both", "--axis", "c", "--min", "1e-6", "--max", "1",
          "--points", "2", "--kr", "0.5", "--zeta", "1", "--out", str(tmp_path)]
@@ -124,7 +124,7 @@ def test_sweep_without_convergence_exits_4(tmp_path, capsys):
 
 
 def test_sweep_where_the_gate_barely_acts_exits_0(tmp_path, capsys):
-    # this sweep used to die in the new scheme's quadrature
+    # the gate barely acts here; the new scheme's average is exact, so it cannot fail
     code = main(
         ["sweep", "--axis", "zeta", "--scheme", "new", "--c", "3.3766", "--dc", "-0.398",
          "--da", "0.257", "--kr", "0.00019", "--format", "json", "--out", str(tmp_path)]
