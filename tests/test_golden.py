@@ -55,3 +55,25 @@ def mc_out(tmp_path_factory):
 @pytest.mark.parametrize("name", ["mc_new.csv", "mc_new.json", "mc_old.csv", "mc_old.json"])
 def test_mc_artifact_bytes(mc_out, name):
     assert (mc_out / name).read_bytes() == _golden(name)
+
+
+SWEEP_AXES = ("zeta", "kappa_ratio", "delta_c", "c")
+
+
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    for axis in SWEEP_AXES:
+        code = main(["sweep", "--scheme", "both", "--axis", axis, "--points", "101",
+                     "--quantity", "fidelity", "--out", str(out)])
+        assert code == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"sweep_{axis}_fidelity_{scheme}.{fmt}"
+     for axis in SWEEP_AXES for scheme in ("new", "old") for fmt in ("csv", "json")],
+)
+def test_sweep_artifact_bytes(sweep_out, name):
+    assert (sweep_out / name).read_bytes() == _golden(name)
