@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "JointState",
     "GateResult",
     "NoHeraldError",
-    "QuadratureError",
     "cz_new",
     "cz_new_from_reflections",
     "cz_old",
@@ -44,9 +43,6 @@ __all__ = [
 # fidelity is undefined. It applies to probabilities, never to
 # unnormalized weights.
 HERALD_TOL = 1e-12
-
-_QUAD_TOL = 1e-8
-_QUAD_MAX_ORDER = 256
 
 
 class NoHeraldError(RuntimeError):
@@ -242,37 +238,60 @@ def cz_old(p: CavityParams, state: JointState) -> GateResult:
 # With theta the polar angle, |beta|^2 = sin^2(theta/2) is uniform on
 # [0, 1] under the sphere measure, and every closed form above depends
 # on the qubit amplitudes only through |.|^2, so the azimuthal averages
-# are exact. The success probabilities are linear in each population and
-# the new scheme's fidelity is quadratic over linear in b = |beta_p|^2,
-# so those averages are closed forms; only the old scheme's fidelity is
-# left to order-doubling Gauss-Legendre quadrature (_adaptive).
+# are exact. The success probabilities are linear in each population.
+# The new scheme's fidelity is quadratic over linear in b = |beta_p|^2;
+# the old scheme's is quadratic over linear in the product
+# u = |beta_p|^2 |beta_a|^2, whose density on [0, 1] is -ln u. All four
+# averages are therefore closed forms: a logarithm for the new scheme's
+# fidelity, a dilogarithm for the old one's.
 
 
-class QuadratureError(RuntimeError):
-    """The old scheme's fidelity average has not settled by _QUAD_MAX_ORDER."""
+def _li2(x: float) -> float:
+    """Real dilogarithm Li2(x) = sum_k x^k / k^2 for x <= 1.
+
+    Inversion maps x < -1 into (-1, 0), Landen's identity maps [-1, 0)
+    into (0, 1/2] and reflection maps (1/2, 1) into (0, 1/2), where the
+    power series converges at least as fast as 2^-k."""
+    if x > 1.0:
+        raise ValueError(f"real Li2 needs x <= 1, got {x}")
+    if x == 1.0:
+        return math.pi**2 / 6.0
+    if x < -1.0:
+        return -math.pi**2 / 6.0 - 0.5 * math.log(-x) ** 2 - _li2(1.0 / x)
+    if x < 0.0:
+        return -_li2(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
+    if x > 0.5:
+        return math.pi**2 / 6.0 - math.log(x) * math.log1p(-x) - _li2(1.0 - x)
+    total, xk, k = 0.0, x, 1
+    while total + xk / (k * k) != total:
+        total += xk / (k * k)
+        xk *= x
+        k += 1
+    return total
 
 
-@lru_cache(maxsize=None)
-def _nodes01(order: int):
-    # Every old-scheme average asks for the same few orders; the cached
-    # arrays are shared by all of them, hence read-only.
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+# Averages of w^j under the density -ln u of u on [0, 1], for w = u
+# (1/(j+1)^2) and for w = 1 - u (H_{j+1}/(j+1), H the harmonic numbers).
+# The series below run at ratios |x| <= 2/3; 128 terms leave < 1e-22.
+_SERIES_TERMS = 128
+_U_MOMENTS = tuple(1.0 / (j + 1) ** 2 for j in range(_SERIES_TERMS + 2))
+_V_MOMENTS = tuple(
+    h / (j + 1) for j, h in enumerate(accumulate(1.0 / i for i in range(1, _SERIES_TERMS + 3)))
+)
 
 
-def _adaptive(evaluate):
-    order = 8
-    prev = evaluate(order)
-    while order < _QUAD_MAX_ORDER:
-        order *= 2
-        cur = evaluate(order)
-        if abs(cur - prev) < _QUAD_TOL:
-            return cur
-        prev = cur
-    raise QuadratureError(f"Bloch-average quadrature did not converge by order {_QUAD_MAX_ORDER}")
+def _moment_series(m0: float, m1: float, m2: float, x: float, moments) -> float:
+    """Average of (m0 + m1 w + m2 w^2) / (1 - x w) for |x| <= 2/3, as the
+    sum over k of x^k (m0 mu_k + m1 mu_(k+1) + m2 mu_(k+2)), mu the moments
+    of w. It stops once a bound on the next term no longer changes the sum."""
+    scale = abs(m0) + abs(m1) + abs(m2)
+    total, xk = 0.0, 1.0
+    for k in range(_SERIES_TERMS):
+        if total + abs(xk) * scale * moments[k] == total:
+            break
+        total += xk * (m0 * moments[k] + m1 * moments[k + 1] + m2 * moments[k + 2])
+        xk *= x
+    return total
 
 
 def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
@@ -299,24 +318,66 @@ def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
 
 
 def avg_fidelity_old(p: CavityParams) -> float:
-    """Fidelity of cz_old averaged over photon and atom Bloch spheres,
-    one node axis per sphere. Nodes that do not herald are skipped with
-    their weight renormalized."""
+    """Fidelity of cz_old averaged over photon and atom Bloch spheres.
+
+    With S = r_c + r_nc and u = |beta_p|^2 |beta_a|^2 the heralded
+    fidelity is N(u) / D(u): N = n0 + n1 u + n2 u^2, and D = d0 - d1 u is
+    the success probability. The average weighs u by its density -ln u
+    over the heralded set {D >= HERALD_TOL}, which is one interval because
+    D is linear; NoHeraldError where it is empty. On all of [0, 1] and for
+    x = d1/d0 in [-2, 1/2) it is a power series in u or 1 - u; otherwise
+    N/D is split into a polynomial and R/D, whose integral is one
+    dilogarithm (or two, on part of [0, 1])."""
     refl = reflection_lossy(p)
+    zeta, r_c, r_nc = p.zeta, refl.r_c, refl.r_nc
+    s = r_c + r_nc
+    n0 = 1.0 - zeta + zeta * abs(r_nc) ** 2
+    n1 = -4.0 * (1.0 - zeta) - 2.0 * zeta * (r_nc.conjugate() * s).real
+    n2 = 4.0 * (1.0 - zeta) + zeta * abs(s) ** 2
+    # D = 1 - zeta (t_nc + u (t_c - t_nc)) with t = 1 - |r|^2 unclamped, as
+    # in _old_core, written without the cancellation of 1 - |r|^2 at small |r|
+    d0 = n0
+    d1 = zeta * (abs(r_nc) ** 2 - abs(r_c) ** 2)
+    lo, hi = 0.0, 1.0  # the heralded interval; D = HERALD_TOL at its inner ends
+    if d1 > 0.0:
+        hi = min(hi, (d0 - HERALD_TOL) / d1)
+    elif d1 < 0.0:
+        lo = max(lo, (d0 - HERALD_TOL) / d1)
+    elif d0 < HERALD_TOL:
+        hi = lo
+    if hi <= lo:
+        raise NoHeraldError("gate heralds nowhere on the Bloch sphere")
+    if lo == 0.0 and hi == 1.0:
+        x = d1 / d0  # D = d0 (1 - x u)
+        if abs(x) < 0.5:
+            return _moment_series(n0, n1, n2, x, _U_MOMENTS) / d0
+        if -2.0 <= x < 0.0:  # D = D(1) (1 - x' (1 - u)), x' = -x / (1 - x) in [1/3, 2/3]
+            return _moment_series(
+                n0 + n1 + n2, -n1 - 2.0 * n2, n2, -x / (1.0 - x), _V_MOMENTS
+            ) / (d0 - d1)
+    # N = (q1 u + q0) D + R; the integral of -ln u / D over [0, 1] is Li2(x) / d1
+    q1 = -n2 / d1
+    q0 = (q1 * d0 - n1) / d1
+    rem = n0 - q0 * d0
+    if lo == 0.0 and hi == 1.0:
+        return 0.25 * q1 + q0 + rem * _li2(x) / d1
 
-    def evaluate(order):
-        b, w = _nodes01(order)
-        bp, ba = b[:, None], b[None, :]
-        num, success, _ = _old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
-        valid = success >= HERALD_TOL
-        weights = np.outer(w, w) * valid
-        wsum = float(np.sum(weights))
-        if wsum <= 0.0:
-            raise NoHeraldError("gate heralds nowhere on the Bloch sphere")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.sum(weights * np.where(valid, num / success, 0.0)) / wsum)
+    def poly(u):  # antiderivatives of (q1 u + q0)(-ln u) and of -ln u
+        lu = math.log(u) if u > 0.0 else 0.0
+        return 0.25 * q1 * u * u * (1.0 - 2.0 * lu) + q0 * u * (1.0 - lu), u * (1.0 - lu)
 
-    return _adaptive(evaluate)
+    def frac(u):  # antiderivative of -ln u / D times d1, up to a constant
+        if u == 0.0:
+            return 0.0
+        lu = math.log(u)
+        if d1 > 0.0:  # here d0 > 0 and x u < 1
+            xu = d1 / d0 * u
+            return lu * math.log1p(-xu) + _li2(xu)
+        y = d0 / (d1 * u)  # d1 < 0 and d0 = n0 >= 0, so y = 1/(x u) <= 0; d0 = 0 is allowed
+        return 0.5 * lu * lu + lu * math.log1p(-y) - _li2(y)
+
+    (p_hi, w_hi), (p_lo, w_lo) = poly(hi), poly(lo)
+    return (p_hi - p_lo + rem * (frac(hi) - frac(lo)) / d1) / (w_hi - w_lo)
 
 
 def avg_success(p: CavityParams, scheme: str) -> float:

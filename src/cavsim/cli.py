@@ -8,9 +8,9 @@ Commands:
   validate  experiment reproduction report (nonzero exit on failure)
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error,
-3 nothing heralds (the gate at its operating point, or every trial of
-an mc grid point), 4 a sweep's old-scheme fidelity average did not
-converge. Exits 3 and 4 write no file.
+3 nothing heralds (the gate at its operating point, every trial of an
+mc grid point, or the whole Bloch sphere at a sweep point). Exit 3
+writes no file.
 
 All emitted numbers carry 12 significant digits and files use LF line
 endings; with a fixed seed, repeated runs are byte-identical (no
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validate as validate_mod
-from .analytic import JointState, NoHeraldError, QuadratureError, cz_new, cz_old
+from .analytic import JointState, NoHeraldError, cz_new, cz_old
 from .cavity import CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
@@ -44,7 +44,6 @@ from .oracle import run_cz_new, run_cz_old
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_HERALD = 3
-EXIT_NO_CONVERGENCE = 4
 
 MAX_GRID_POINTS = 10**6  # --points bound of sweep and mc, checked before allocating
 
@@ -411,9 +410,6 @@ def main(argv=None) -> int:
     except NoHeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HERALD
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -474,14 +474,16 @@ class RemoteEntangleResult:
     fidelity_v/fidelity_h are the Bell fidelities of the two heralded
     branches (V targets (|00> + |11>)/sqrt(2), H targets
     (|01> + |10>)/sqrt(2)); prob_v/prob_h are their absolute
-    probabilities and herald_probability their sum.
+    probabilities and herald_probability their sum. On a no-herald run,
+    as for run_cz_*, both fidelities are None and no_herald is set.
     """
 
-    fidelity_v: float
-    fidelity_h: float
+    fidelity_v: float | None
+    fidelity_h: float | None
     prob_v: float
     prob_h: float
     herald_probability: float
+    no_herald: bool = False
 
 
 def run_remote_new(
@@ -507,7 +509,7 @@ def run_remote_new(
     st = _check(apply_qwp(st, out2))
     heralded, p_det = herald(st, {out2})
     if heralded is None:
-        return RemoteEntangleResult(0.0, 0.0, 0.0, 0.0, p_det)
+        return RemoteEntangleResult(None, None, 0.0, 0.0, p_det, no_herald=True)
     fid_v = prob_v = fid_h = prob_h = 0.0
     st_v, pv = measure_polarization(heralded, out2, "V")
     if st_v is not None:

@@ -283,6 +283,79 @@ def test_average_fidelity_new_matches_mpmath(params, phi, expected):
     assert avg_fidelity_new(params, phi) == pytest.approx(expected, rel=0.0, abs=5e-15)
 
 
+def _old_point(c, kappa_ratio=0.7, zeta=0.92, delta_c=0.0, delta_a=0.0):
+    return CavityParams(c=c, delta_c=delta_c, delta_a=delta_a, kappa_ratio=kappa_ratio, zeta=zeta)
+
+
+# 40-digit mpmath integrals of the old scheme's heralded fidelity N(u)/D(u)
+# against the density -ln u over the heralded interval, to 20 digits; x is
+# d1/d0 with D = d0 - d1 u. (params, value)
+MPMATH_FIDELITY_OLD = [
+    (BASELINE, 0.93609828962684305613),  # x = 0.074
+    # almost nothing reflects: D = d1 u exactly (d0 = 0), heralded u >= 0.25
+    (_old_point(1e-6, kappa_ratio=0.5, zeta=1.0), 0.47357735277840373459),
+    (_old_point(1e-6, kappa_ratio=0.5, zeta=1.0, delta_a=0.3), 0.4907727514209635791),
+    (_old_point(1e-6, kappa_ratio=0.49, zeta=1.0), 0.44442811195474308737),
+    # D(1) = |r_c|^2 ~ 4e-14: heralded u <= 0.758
+    (_old_point(9e-7, kappa_ratio=0.500001, zeta=1.0), 0.72343684865118040555),
+    # either side of x = 0.5, x = -0.5 and x = -2, where the method changes
+    (_old_point(0.36544893), 0.72891210063745454323),  # x = 0.4999
+    (_old_point(0.36531068), 0.72884727933883879945),  # x = 0.5001
+    (_old_point(0.99701743), 0.82389841197272001206),  # x = -0.4999
+    (_old_point(0.99716594), 0.8239021527485042484),  # x = -0.5001
+    (_old_point(3.157905), 0.82026175853858141759),  # x = -1.9999
+    (_old_point(3.1584888), 0.8202592623120206654),  # x = -2.0001
+    # the low end of the kappa_ratio axis (x = -2.24) and far beyond it
+    (_old_point(4.0), 0.81712446571926272043),
+    (_old_point(50.0, kappa_ratio=0.5, zeta=1.0, delta_c=0.3, delta_a=-0.2),
+     0.45327509489475803707),  # x = -10.9
+    # r_c ~ 0: x = 1 - 3e-11, and x = 1 - 3e-15 with heralded u <= 1 - 1.6e-12
+    (_old_point(0.400004, kappa_ratio=0.9, zeta=1.0), 0.75000277776990528378),
+    (_old_point(0.4 * (1 + 1e-7), kappa_ratio=0.9, zeta=1.0), 0.750000027777777054),
+    # d1 = 0: the fidelity (1 - 2u)^2 averages to 4/9
+    (_old_point(0.0), 0.44444444444444444444),
+    (_old_point(4.0, kappa_ratio=0.916, zeta=0.0), 0.44444444444444444444),
+]
+
+
+@pytest.mark.parametrize("params, expected", MPMATH_FIDELITY_OLD)
+def test_average_fidelity_old_matches_mpmath(params, expected):
+    assert avg_fidelity_old(params) == pytest.approx(expected, rel=0.0, abs=5e-15)
+
+
+# mpmath.polylog(2, x) at 40 digits, to 21
+MPMATH_LI2 = [
+    (-999999.0, -97.0790852399416749023),
+    (-1000.0, -25.5024758138899688329),
+    (-7.5, -3.54571710425584622457),
+    (-2.0, -1.43674636688368094636),
+    (-1.000000000001, -0.822467033424806427038),
+    (-1.0, -0.822467033424113218236),
+    (-0.999, -0.821773789647240643185),
+    (-0.5, -0.448414206923646202443),
+    (-1e-09, -9.99999999750000062393e-10),
+    (0.0, 0.0),
+    (1e-12, 1.00000000000024997989e-12),
+    (0.25, 0.267652639082732606919),
+    (0.5, 0.582240526465012505903),
+    (0.500000000001, 0.582240526466398769597),
+    (0.75, 0.978469392930306103743),
+    (0.999, 1.63702260527611773655),
+    (0.999999999999, 1.6449340668195960266),
+    (1.0, 1.64493406684822643647),
+]
+
+
+@pytest.mark.parametrize("x, expected", MPMATH_LI2)
+def test_dilogarithm_matches_mpmath(x, expected):
+    assert analytic._li2(x) == pytest.approx(expected, rel=2e-15, abs=0.0)
+
+
+def test_dilogarithm_is_real_only_up_to_one():
+    with pytest.raises(ValueError):
+        analytic._li2(1.5)
+
+
 def test_average_success_old_rounds_correctly_at_a_tie():
     # mpmath: 0.77923680526449997936, 2e-17 below the 12-digit tie; the
     # nearest double lies above it, so the artifact shows ...265
@@ -291,20 +364,51 @@ def test_average_success_old_rounds_correctly_at_a_tie():
     assert abs(value - 0.77923680526449997936) <= math.ulp(value) / 2
 
 
-def _gauss_legendre_fidelity_new(p, phi):
-    """Reference: the order-doubling quadrature of the heralded fidelity,
-    or None if it has not settled by order 256."""
-    refl = reflection_lossy(p)
-    phase = complex(math.cos(phi), math.sin(phi))
+def _nodes01(order):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _gauss_legendre(evaluate):
+    """Order-doubling quadrature: evaluate(nodes, weights) at orders 8 to
+    256 until two orders agree to 1e-11, or None if they never do."""
     prev = None
     for order in (8, 16, 32, 64, 128, 256):
-        b, w = analytic._nodes01(order)
-        num, success, *_ = analytic._new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, phase, 1.0)
-        cur = float(np.sum(w * num / success))
+        cur = evaluate(*_nodes01(order))
         if prev is not None and abs(cur - prev) < 1e-11:
             return cur
         prev = cur
     return None
+
+
+def _gauss_legendre_fidelity_new(p, phi):
+    """Reference: the heralded fidelity of cz_new on nodes in b."""
+    refl = reflection_lossy(p)
+    phase = complex(math.cos(phi), math.sin(phi))
+
+    def evaluate(b, w):
+        num, success, *_ = analytic._new_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - b, b, phase, 1.0)
+        return float(np.sum(w * num / success))
+
+    return _gauss_legendre(evaluate)
+
+
+def _gauss_legendre_fidelity_old(p):
+    """Reference: the heralded fidelity of cz_old on one node axis per
+    sphere; nodes that do not herald are dropped and the weights
+    renormalized."""
+    refl = reflection_lossy(p)
+
+    def evaluate(b, w):
+        bp, ba = b[:, None], b[None, :]
+        num, success, _ = analytic._old_core(refl.r_c, refl.r_nc, p.zeta, 1.0 - bp, bp, 1.0 - ba, ba)
+        valid = success >= analytic.HERALD_TOL
+        weights = np.outer(w, w) * valid
+        ratio = np.divide(num, success, out=np.zeros_like(num), where=valid)
+        return float(np.sum(weights * ratio) / np.sum(weights))
+
+    return _gauss_legendre(evaluate)
 
 
 def test_average_fidelity_new_matches_gauss_legendre():
@@ -321,9 +425,22 @@ def test_average_fidelity_new_matches_gauss_legendre():
     assert compared > 100
 
 
+def test_average_fidelity_old_matches_gauss_legendre():
+    rng = np.random.default_rng(33)
+    compared = 0
+    for _ in range(100):
+        p = random_cavity_params(rng)
+        reference = _gauss_legendre_fidelity_old(p)
+        if reference is None:
+            continue
+        compared += 1
+        assert avg_fidelity_old(p) == pytest.approx(reference, rel=0.0, abs=1e-9)
+    assert compared > 90
+
+
 def test_closed_form_success_matches_gauss_legendre():
     rng = np.random.default_rng(32)
-    b, w = analytic._nodes01(8)
+    b, w = _nodes01(8)
     bp, ba = b[:, None], b[None, :]
     for _ in range(50):
         p = random_cavity_params(rng)
@@ -344,53 +461,20 @@ def test_average_is_phase_aware():
 
 
 # ---------------------------------------------------------------------------
-# quadrature nodes and order doubling
+# no quadrature left
 # ---------------------------------------------------------------------------
 
 
-def test_cached_nodes_match_leggauss():
-    for order in (8, 16, 64):
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes, weights = analytic._nodes01(order)
-        assert np.array_equal(nodes, 0.5 * (x + 1.0))
-        assert np.array_equal(weights, 0.5 * w)
-        assert analytic._nodes01(order)[0] is nodes
-
-
-def test_cached_nodes_are_read_only():
-    nodes, weights = analytic._nodes01(8)
-    with pytest.raises(ValueError):
-        nodes[0] = 0.5
-    with pytest.raises(ValueError):
-        weights *= 2.0
-    assert np.array_equal(nodes, 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0))
-
-
-def test_sweep_computes_nodes_once_per_order(monkeypatch):
-    leggauss = np.polynomial.legendre.leggauss
+def test_sweep_builds_no_quadrature_nodes(monkeypatch):
     orders = []
+    leggauss = np.polynomial.legendre.leggauss
 
     def counting_leggauss(order):
         orders.append(order)
         return leggauss(order)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-    analytic._nodes01.cache_clear()
     values = np.linspace(0.8, 1.0, 101)
     for scheme in ("new", "old"):
         sweep_1d(BASELINE, "zeta", values, scheme, "fidelity")
-    assert orders
-    assert len(orders) == len(set(orders))
-
-
-def test_quadrature_stops_at_max_order():
-    asked = []
-
-    def never_converges(order):
-        asked.append(order)
-        return float(order)
-
-    with pytest.raises(analytic.QuadratureError):
-        analytic._adaptive(never_converges)
-    assert max(asked) == analytic._QUAD_MAX_ORDER
-    assert asked == [8 * 2**k for k in range(len(asked))]
+    assert orders == []

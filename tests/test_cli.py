@@ -10,7 +10,6 @@ from cavsim import montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
 from cavsim.cli import (
     EXIT_CONFIG_ERROR,
-    EXIT_NO_CONVERGENCE,
     EXIT_NO_HERALD,
     EXIT_VALIDATION_FAILED,
     main,
@@ -108,19 +107,22 @@ def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
     assert "oracle heralds nothing" in capsys.readouterr().err
 
 
-def test_sweep_without_convergence_exits_4(tmp_path, capsys):
-    # where almost nothing reflects (critical coupling at vanishing C) the
-    # old scheme's fidelity average does not settle; the new scheme's
-    # curve, computed first, is not written either
+def test_sweep_where_almost_nothing_reflects_exits_0(tmp_path, capsys):
+    # critical coupling at vanishing C: the old scheme heralds only for
+    # u = |beta_p|^2 |beta_a|^2 >= 0.25, and its average is still exact
     code = main(
         ["sweep", "--scheme", "both", "--axis", "c", "--min", "1e-6", "--max", "1",
-         "--points", "2", "--kr", "0.5", "--zeta", "1", "--out", str(tmp_path)]
+         "--points", "2", "--kr", "0.5", "--zeta", "1", "--format", "json",
+         "--out", str(tmp_path)]
     )
-    assert code == EXIT_NO_CONVERGENCE
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: Bloch-average quadrature did not converge by order 256\n"
-    assert list(tmp_path.iterdir()) == []
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "sweep_c_fidelity_new.json", "sweep_c_fidelity_old.json"
+    ]
+    doc = json.loads((tmp_path / "sweep_c_fidelity_old.json").read_text())
+    # 40-digit mpmath: 0.47357735277840373459
+    assert doc["rows"][0][:2] == [1e-6, 0.473577352778]
 
 
 def test_sweep_where_the_gate_barely_acts_exits_0(tmp_path, capsys):

@@ -110,7 +110,8 @@ def test_no_herald_agrees_with_oracle(kappa_ratio):
     p1 = CavityParams(c=4.0, kappa_ratio=kappa_ratio)
     p2 = CavityParams(c=3.0, kappa_ratio=kappa_ratio)
     net = run_remote_new(reflection_lossy(p1), reflection_lossy(p2))
-    if net.herald_probability < HERALD_TOL:
+    assert net.no_herald == (net.herald_probability < HERALD_TOL)
+    if net.no_herald:
         with pytest.raises(NoHeraldError):
             atom_atom_new(TwoCavitySetup(p1, p2))
     else:

@@ -11,6 +11,7 @@ from cavsim import CavityParams, JointState, ReflectionPair, reflection_lossy
 from cavsim.analytic import cz_new_from_reflections, cz_old_from_reflections
 from cavsim.entangle import TwoCavitySetup, atom_atom_new
 from cavsim.oracle import (
+    HERALD_TOL,
     NetworkState,
     _check,
     apply_attenuator,
@@ -179,6 +180,18 @@ def test_remote_chain_ideal_is_perfect():
     assert res.fidelity_h == pytest.approx(1.0, abs=1e-12)
     assert res.herald_probability == pytest.approx(1.0, abs=1e-12)
     assert res.prob_v == pytest.approx(0.5, abs=1e-12)
+    assert not res.no_herald
+
+
+def test_remote_chain_no_herald_has_no_fidelity():
+    # nearly empty cavities: the herald probability is ~7.6e-13
+    r1 = reflection_lossy(CavityParams(c=4.0, kappa_ratio=1e-6))
+    r2 = reflection_lossy(CavityParams(c=3.0, kappa_ratio=1e-6))
+    res = run_remote_new(r1, r2)
+    assert res.no_herald
+    assert res.fidelity_v is None and res.fidelity_h is None
+    assert res.prob_v == res.prob_h == 0.0
+    assert 0.0 < res.herald_probability < HERALD_TOL
 
 
 def test_herald_and_measurement():
