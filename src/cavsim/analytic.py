@@ -251,9 +251,8 @@ def _li2(x: float) -> float:
 
     Inversion maps x < -1 into (-1, 0), Landen's identity maps [-1, 0)
     into (0, 1/2] and reflection maps (1/2, 1) into (0, 1/2), where the
-    power series converges at least as fast as 2^-k."""
-    if x > 1.0:
-        raise ValueError(f"real Li2 needs x <= 1, got {x}")
+    power series converges at least as fast as 2^-k. Above 1, math.log1p
+    raises ValueError."""
     if x == 1.0:
         return math.pi**2 / 6.0
     if x < -1.0:

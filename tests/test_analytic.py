@@ -296,6 +296,8 @@ MPMATH_FIDELITY_OLD = [
     (_old_point(1e-6, kappa_ratio=0.5, zeta=1.0), 0.47357735277840373459),
     (_old_point(1e-6, kappa_ratio=0.5, zeta=1.0, delta_a=0.3), 0.4907727514209635791),
     (_old_point(1e-6, kappa_ratio=0.49, zeta=1.0), 0.44442811195474308737),
+    # D = d0 - d1 u with 0 < d0 = 5e-13 < HERALD_TOL: heralded u >= 0.125
+    (_old_point(1e-6, kappa_ratio=0.5, zeta=1.0 - 5e-13), 0.36066107976939552408),
     # D(1) = |r_c|^2 ~ 4e-14: heralded u <= 0.758
     (_old_point(9e-7, kappa_ratio=0.500001, zeta=1.0), 0.72343684865118040555),
     # either side of x = 0.5, x = -0.5 and x = -2, where the method changes
@@ -305,6 +307,9 @@ MPMATH_FIDELITY_OLD = [
     (_old_point(0.99716594), 0.8239021527485042484),  # x = -0.5001
     (_old_point(3.157905), 0.82026175853858141759),  # x = -1.9999
     (_old_point(3.1584888), 0.8202592623120206654),  # x = -2.0001
+    # x = -0.504, where the dilogarithm form would be 1.1e-14 off
+    (_old_point(65.4784, kappa_ratio=0.667, zeta=0.898, delta_c=-1.14, delta_a=-0.071),
+     0.52935410126591226057),
     # the low end of the kappa_ratio axis (x = -2.24) and far beyond it
     (_old_point(4.0), 0.81712446571926272043),
     (_old_point(50.0, kappa_ratio=0.5, zeta=1.0, delta_c=0.3, delta_a=-0.2),
@@ -321,6 +326,12 @@ MPMATH_FIDELITY_OLD = [
 @pytest.mark.parametrize("params, expected", MPMATH_FIDELITY_OLD)
 def test_average_fidelity_old_matches_mpmath(params, expected):
     assert avg_fidelity_old(params) == pytest.approx(expected, rel=0.0, abs=5e-15)
+
+
+def test_average_fidelity_old_without_herald_raises():
+    # critical coupling at C = 0: r_c = r_nc = 0, nothing comes back
+    with pytest.raises(analytic.NoHeraldError):
+        avg_fidelity_old(CavityParams(c=0.0, kappa_ratio=0.5, zeta=1.0))
 
 
 # mpmath.polylog(2, x) at 40 digits, to 21
