@@ -269,26 +269,28 @@ def _li2(x: float) -> float:
     return total
 
 
-# Averages of w^j under the density -ln u of u on [0, 1], for w = u
-# (1/(j+1)^2) and for w = 1 - u (H_{j+1}/(j+1), H the harmonic numbers).
-# The series below run at ratios |x| <= 2/3; 128 terms leave < 1e-22.
+# Divisors 1/E[w^j] of the moments on [0, 1], exact integers where they
+# can be: j+1 for w uniform; under the density -ln u of u, (j+1)^2 for
+# w = u and (j+1)/H_{j+1} for w = 1 - u (H the harmonic numbers). The
+# series below run at ratios |x| <= 2/3; 128 terms leave < 1e-22.
 _SERIES_TERMS = 128
-_U_MOMENTS = tuple(1.0 / (j + 1) ** 2 for j in range(_SERIES_TERMS + 2))
-_V_MOMENTS = tuple(
-    h / (j + 1) for j, h in enumerate(accumulate(1.0 / i for i in range(1, _SERIES_TERMS + 3)))
+_UNIFORM_DENOMS = tuple(range(1, _SERIES_TERMS + 3))
+_U_DENOMS = tuple(j * j for j in _UNIFORM_DENOMS)
+_V_DENOMS = tuple(
+    (j + 1) / h for j, h in enumerate(accumulate(1.0 / i for i in range(1, _SERIES_TERMS + 3)))
 )
 
 
-def _moment_series(m0: float, m1: float, m2: float, x: float, moments) -> float:
+def _moment_series(m0: float, m1: float, m2: float, x: float, denoms) -> float:
     """Average of (m0 + m1 w + m2 w^2) / (1 - x w) for |x| <= 2/3, as the
-    sum over k of x^k (m0 mu_k + m1 mu_(k+1) + m2 mu_(k+2)), mu the moments
-    of w. It stops once a bound on the next term no longer changes the sum."""
+    sum over k of x^k (m0/d_k + m1/d_(k+1) + m2/d_(k+2)), d = denoms. It
+    stops once a bound on the next term no longer changes the sum."""
     scale = abs(m0) + abs(m1) + abs(m2)
     total, xk = 0.0, 1.0
     for k in range(_SERIES_TERMS):
-        if total + abs(xk) * scale * moments[k] == total:
+        if total + abs(xk) * scale / denoms[k] == total:
             break
-        total += xk * (m0 * moments[k] + m1 * moments[k + 1] + m2 * moments[k + 2])
+        total += xk * (m0 / denoms[k] + m1 / denoms[k + 1] + m2 / denoms[k + 2])
         xk *= x
     return total
 
@@ -301,15 +303,15 @@ def avg_fidelity_new(p: CavityParams, phi: float = 0.0) -> float:
     (1 + B b + C b^2) / (1 - s b): s = 1 - eps, B = 2 zeta Re(exp(-i phi) g) - 2,
     C = -1 - B + eps. It is at most 1 and equals 1 at b = 1, so the exact
     average always exists. Below s = 0.5, where the logarithm form cancels
-    badly, it is summed as a power series in s (60 terms, rest < 0.5^60)."""
+    badly, it is summed as a power series in s."""
     refl = reflection_lossy(p)
     g = 0.5 * (refl.r_c - refl.r_nc)
     eps = p.zeta * abs(g) ** 2
     zr = p.zeta * (cmath.exp(-1j * _reduce_phase(phi)) * g).real
     s = 1.0 - eps
     b1, c2 = 2.0 * zr - 2.0, 1.0 - 2.0 * zr + eps
-    if s < 0.5:  # sum over k of s^k times the integral of num(b) b^k
-        return sum(s**k * (1.0 / (k + 1) + b1 / (k + 2) + c2 / (k + 3)) for k in range(60))
+    if s < 0.5:  # b is uniform on [0, 1]
+        return _moment_series(1.0, b1, c2, s, _UNIFORM_DENOMS)
     # num = (q1 b + q0)(1 - s b) + num(1/s), and num(1/s) = eps C / s^2
     q1 = -c2 / s
     q0 = (q1 - b1) / s
@@ -349,10 +351,10 @@ def avg_fidelity_old(p: CavityParams) -> float:
     if lo == 0.0 and hi == 1.0:
         x = d1 / d0  # D = d0 (1 - x u)
         if abs(x) < 0.5:
-            return _moment_series(n0, n1, n2, x, _U_MOMENTS) / d0
+            return _moment_series(n0, n1, n2, x, _U_DENOMS) / d0
         if -2.0 <= x < 0.0:  # D = D(1) (1 - x' (1 - u)), x' = -x / (1 - x) in [1/3, 2/3]
             return _moment_series(
-                n0 + n1 + n2, -n1 - 2.0 * n2, n2, -x / (1.0 - x), _V_MOMENTS
+                n0 + n1 + n2, -n1 - 2.0 * n2, n2, -x / (1.0 - x), _V_DENOMS
             ) / (d0 - d1)
     # N = (q1 u + q0) D + R; the integral of -ln u / D over [0, 1] is Li2(x) / d1
     q1 = -n2 / d1

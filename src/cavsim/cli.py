@@ -7,6 +7,11 @@ Commands:
   mc        fluctuation Monte Carlo infidelity curves
   validate  experiment reproduction report (nonzero exit on failure)
 
+gate and sweep read an optional flat JSON --config file, mc a --spec
+file. Flag values win over file values, which win over the command's
+defaults; the defaults name every key the command accepts, and a file
+value must fit the type of its default.
+
 Exit codes: 0 success, 1 failed validation, 2 configuration error,
 3 nothing heralds (the gate at its operating point, every trial of an
 mc grid point, or the whole Bloch sphere at a sweep point). Exit 3
@@ -23,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,6 @@ from .analytic import JointState, NoHeraldError, cz_new, cz_old
 from .cavity import CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
-    GaussianSpec,
     standard_fluctuation_spec,
     mc_infidelity_curve,
     sweep_1d,
@@ -50,7 +53,6 @@ MAX_GRID_POINTS = 10**6  # --points bound of sweep and mc, checked before alloca
 ORACLE_AGREEMENT_TOL = 1e-10
 
 _GATE_PARAM_KEYS = ("c", "delta_c", "delta_a", "kappa_ratio", "zeta")
-_GATE_EXTRA_KEYS = ("phi", "v_attenuation", "alpha_p", "beta_p", "alpha", "beta")
 
 # default ranges of the comparison sweeps, one per supported axis
 _AXIS_RANGES = {
@@ -62,56 +64,65 @@ _AXIS_RANGES = {
 
 
 def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError:
-            pass
-    raise ValueError(f"cannot parse complex amplitude {value!r}")
+    try:
+        return complex(value.replace(" ", "") if isinstance(value, str) else value)
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse complex amplitude {value!r}") from None
 
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"config {path}: expected a flat JSON object")
-    return data
-
-
-# gate evaluates an ideal box unless told otherwise; sweeps default to
-# the published comparison baseline
-_GATE_DEFAULTS = {"c": 4.0, "delta_c": 0.0, "delta_a": 0.0, "kappa_ratio": 1.0, "zeta": 1.0}
+# The defaults of each command name every key its config file may set:
+# gate evaluates an ideal box unless told otherwise, with an equal
+# superposition where an amplitude is None; sweeps default to the
+# published comparison baseline
+_GATE_DEFAULTS = {
+    "c": 4.0, "delta_c": 0.0, "delta_a": 0.0, "kappa_ratio": 1.0, "zeta": 1.0,
+    "phi": 0.0, "v_attenuation": 1.0, "alpha_p": None, "beta_p": None, "alpha": None, "beta": None,
+}
 _SWEEP_DEFAULTS = {"c": 4.0, "delta_c": 0.0, "delta_a": 0.0, "kappa_ratio": 0.916, "zeta": 0.92}
 
+_KIND_NAMES = {float: "a number", int: "an integer", type(None): "a complex amplitude or null"}
 
-def _merged_gate_config(args, defaults: dict) -> dict:
-    """Flag values over file values over the command's defaults."""
-    allowed = set(_GATE_PARAM_KEYS) | set(_GATE_EXTRA_KEYS)
-    merged = {
-        "phi": 0.0,
-        "v_attenuation": 1.0,
-        "alpha_p": None,
-        "beta_p": None,
-        "alpha": None,
-        "beta": None,
-    }
-    merged.update(defaults)
-    if args.config is not None:
-        cfg = _load_config(args.config)
-        unknown = sorted(set(cfg) - allowed)
+
+def _check_value(path, key: str, value, default) -> None:
+    """Raise ValueError unless a file value can stand where the default
+    does: a number or numeric string, integral where the default is an
+    int, and also null or a complex string where it is None."""
+    if value is None and default is None:
+        return
+    kind = type(default)
+    try:
+        parsed = _parse_complex(value) if default is None else kind(value)
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and parsed != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"config {path}: {key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}"
+        ) from None
+
+
+def _merged_config(args, path, defaults: dict) -> dict:
+    """Flag values over file values over the command's defaults, whose
+    keys are the keys the command accepts."""
+    merged = dict(defaults)
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path}: invalid JSON ({exc})") from exc
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {path}: expected a flat JSON object")
+        unknown = sorted(set(cfg) - set(defaults))
         if unknown:
-            raise ValueError(f"config {args.config}: unknown keys {unknown}")
+            raise ValueError(f"config {path}: unknown keys {unknown}")
+        for key, value in cfg.items():
+            _check_value(path, key, value, defaults[key])
         merged.update(cfg)
-    for key in allowed:
+    for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -179,7 +190,7 @@ def _emit_result(result, args, stem: str) -> None:
 
 
 def cmd_gate(args) -> int:
-    cfg = _merged_gate_config(args, _GATE_DEFAULTS)
+    cfg = _merged_config(args, args.config, _GATE_DEFAULTS)
     params = _params_from_config(cfg)
     state = _state_from_config(cfg)
     phi = float(cfg["phi"])
@@ -248,7 +259,7 @@ def cmd_gate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merged_gate_config(args, _SWEEP_DEFAULTS)
+    cfg = _merged_config(args, args.config, _SWEEP_DEFAULTS)
     base = _params_from_config(cfg)
     lo, hi = _AXIS_RANGES[args.axis]
     lo = args.min if args.min is not None else lo
@@ -265,29 +276,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> FluctuationSpec:
-    flat = standard_fluctuation_spec().to_flat_dict()
-    if args.spec is not None:
-        overrides = _load_config(args.spec)
-        unknown = sorted(set(overrides) - set(flat))
-        if unknown:
-            raise ValueError(f"spec {args.spec}: unknown keys {unknown}")
-        flat.update(overrides)
-    spec = FluctuationSpec.from_flat_dict(flat)
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.window is not None:
-        spec = replace(spec, window=args.window)
-    if args.sigma_phi is not None:
-        phi = GaussianSpec(0.0, args.sigma_phi)
-        spec = replace(spec, phi1=phi, phi2=phi)
-    return spec
-
-
 def cmd_mc(args) -> int:
-    spec = _spec_from_args(args)
+    cfg = _merged_config(args, args.spec, standard_fluctuation_spec().to_flat_dict())
+    if args.sigma_phi is not None:
+        cfg["phi1_sigma"] = cfg["phi2_sigma"] = args.sigma_phi
+    spec = FluctuationSpec.from_flat_dict(cfg)
     if not (math.isfinite(args.cmin) and math.isfinite(args.cmax) and 0.0 < args.cmin < args.cmax):
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
     if not 1 <= args.points <= MAX_GRID_POINTS:

@@ -287,3 +287,77 @@ def test_mc_over_trials_bound_exits_2_before_drawing(tmp_path, capsys, monkeypat
     assert code == EXIT_CONFIG_ERROR
     assert "memory bound" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_sweep_rejects_gate_only_config_keys(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"phi": 1.0, "alpha_p": "0.6", "v_attenuation": 0.5})
+    out = tmp_path / "out"
+    code = main(["sweep", "--scheme", "new", "--axis", "zeta", "--points", "3",
+                 "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: config {cfg}: unknown keys ['alpha_p', 'phi', 'v_attenuation']\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sigma_phi_sets_only_the_phase_sigmas(tmp_path, capsys):
+    spec = _write_config(tmp_path, {"phi1_mean": 0.3, "phi2_mean": -0.3, "phi1_sigma": 0.05})
+    code = main(["mc", "--scheme", "new", "--spec", spec, "--sigma-phi", "0.1", "--points", "2",
+                 "--trials", "50", "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((tmp_path / "mc_new.json").read_text())["metadata"]
+    assert [meta[k] for k in ("phi1_mean", "phi1_sigma", "phi2_mean", "phi2_sigma")] == [
+        0.3, 0.1, -0.3, 0.1
+    ]
+
+
+_WRONG_TYPES = {"null": None, "list": [1.0], "object": {"v": 1.0}, "true": True}
+_TYPED_KEYS = [
+    ("gate --scheme new --config", "c", "a number"),
+    ("gate --scheme old --config", "phi", "a number"),
+    ("sweep --scheme new --axis c --points 3 --config", "zeta", "a number"),
+    ("mc --scheme new --points 2 --trials 50 --spec", "trials", "an integer"),
+    ("mc --scheme new --points 2 --trials 50 --spec", "seed", "an integer"),
+    ("mc --scheme new --points 2 --trials 50 --spec", "cavity1_c_mean", "a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, what, value",
+    [(*typed, value) for typed in _TYPED_KEYS for value in _WRONG_TYPES.values()]
+    + [("gate --scheme new --config", "alpha_p", "a complex amplitude or null", value)
+       for value in ([1.0], {"v": 1.0}, True)],  # null is a valid amplitude
+    ids=[f"{typed[1]}-{kind}" for typed in _TYPED_KEYS for kind in _WRONG_TYPES]
+    + ["alpha_p-list", "alpha_p-object", "alpha_p-true"],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, what, value):
+    cfg = _write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    code = main(command.split() + [cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {cfg}: {key} must be {what}, got {json.dumps(value)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("window", 2.5), ("trials", 400.5), ("seed", 9.5)])
+def test_non_integral_count_in_spec_exits_2(tmp_path, capsys, key, value):
+    spec = _write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    code = main(["mc", "--scheme", "new", "--spec", spec, "--points", "2", "--trials", "50",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {spec}: {key} must be an integer, got {value}\n"
+    assert not out.exists()

@@ -226,7 +226,8 @@ def test_csv_and_json_serialization(tmp_path):
 
     raw = csv_path.read_bytes()
     assert b"\r" not in raw  # LF only
-    rows = list(csv.reader(csv_path.open()))
+    with csv_path.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["x", "mean", "stderr"]
     assert len(rows) == 6
     assert float(rows[1][0]) == 1.0
