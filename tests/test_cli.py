@@ -336,9 +336,10 @@ _TYPED_KEYS = [
     "command, key, what, value",
     [(*typed, value) for typed in _TYPED_KEYS for value in _WRONG_TYPES.values()]
     + [("gate --scheme new --config", "alpha_p", "a complex amplitude or null", value)
-       for value in ([1.0], {"v": 1.0}, True)],  # null is a valid amplitude
+       for value in ([1.0], {"v": 1.0}, True)]  # null is a valid amplitude
+    + [("gate --scheme new --config", "c", "a number", 10**400)],  # float() overflows
     ids=[f"{typed[1]}-{kind}" for typed in _TYPED_KEYS for kind in _WRONG_TYPES]
-    + ["alpha_p-list", "alpha_p-object", "alpha_p-true"],
+    + ["alpha_p-list", "alpha_p-object", "alpha_p-true", "c-huge-integer"],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, what, value):
     cfg = _write_config(tmp_path, {key: value})
