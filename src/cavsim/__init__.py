@@ -36,14 +36,11 @@ from .entangle import (
     two_atoms_one_cavity_from_reflections,
 )
 from .montecarlo import (
-    CavityFluctuation,
     FluctuationSpec,
-    GaussianSpec,
     SweepResult,
     default_c_grid,
     standard_fluctuation_spec,
     mc_infidelity_curve,
-    mc_phase_noise,
     sweep_1d,
 )
 from .oracle import (
@@ -68,12 +65,10 @@ from .validate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CavityFluctuation",
     "CavityParams",
     "CheckResult",
     "FluctuationSpec",
     "GateResult",
-    "GaussianSpec",
     "JointState",
     "NetworkState",
     "NoHeraldError",
@@ -100,7 +95,6 @@ __all__ = [
     "standard_fluctuation_spec",
     "loss_balance",
     "mc_infidelity_curve",
-    "mc_phase_noise",
     "multiphoton_throughput",
     "reflection_amplitudes",
     "reflection_lossless",

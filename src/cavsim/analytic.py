@@ -129,7 +129,9 @@ def _new_core(r_c, r_nc, zeta, a2, b2, phase, att):
     p_loss = (1.0 - att * att) * a2 + zeta * 0.5 * b2 * t_sum
     nl2 = 1.0 - p_loss
     raw_h = (1.0 - zeta) * b2 + zeta * 0.25 * b2 * np.abs(r_c + r_nc) ** 2
-    success = nl2 - raw_h
+    # nl2 - raw_h for a normalized photon, as a sum of non-negative terms:
+    # the difference cancels to rounding error where success is near zero
+    success = att * att * a2 + zeta * np.abs(g) ** 2 * b2
     num = (1.0 - zeta) * (att * a2) ** 2 + zeta * np.abs(att * a2 * phase + g * b2) ** 2
     return num, success, p_loss, raw_h, nl2
 
@@ -192,8 +194,10 @@ def _old_core(r_c, r_nc, zeta, ap2, bp2, aa2, ba2):
     """Elementwise kernel for the bare-reflection gate."""
     t_c_sq = 1.0 - np.abs(r_c) ** 2
     t_nc_sq = 1.0 - np.abs(r_nc) ** 2
-    p_loss = zeta * (t_nc_sq + bp2 * ba2 * (t_c_sq - t_nc_sq))
-    success = 1.0 - p_loss
+    u = bp2 * ba2
+    p_loss = zeta * (t_nc_sq + u * (t_c_sq - t_nc_sq))
+    # 1 - p_loss as a sum of non-negative terms, which does not cancel
+    success = (1.0 - zeta) + zeta * ((1.0 - u) * np.abs(r_nc) ** 2 + u * np.abs(r_c) ** 2)
     mis = ap2 + bp2 * (aa2 - ba2)
     mat = ap2 * r_nc + bp2 * (r_nc * aa2 - r_c * ba2)
     num = (1.0 - zeta) * mis**2 + zeta * np.abs(mat) ** 2

@@ -10,7 +10,9 @@ Commands:
 gate and sweep read an optional flat JSON --config file, mc a --spec
 file. Flag values win over file values, which win over the command's
 defaults; the defaults name every key the command accepts, and a file
-value must fit the type of its default.
+value must fit the type of its default and is converted to it. gate's
+cavity keys and sweep's keys are the CavityParams fields, mc's keys the
+FluctuationSpec fields.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error,
 3 nothing heralds (the gate at its operating point, every trial of an
@@ -28,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,6 @@ from .analytic import JointState, NoHeraldError, cz_new, cz_old
 from .cavity import CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
-    standard_fluctuation_spec,
     mc_infidelity_curve,
     sweep_1d,
     write_json,
@@ -51,8 +53,6 @@ EXIT_NO_HERALD = 3
 MAX_GRID_POINTS = 10**6  # --points bound of sweep and mc, checked before allocating
 
 ORACLE_AGREEMENT_TOL = 1e-10
-
-_GATE_PARAM_KEYS = ("c", "delta_c", "delta_a", "kappa_ratio", "zeta")
 
 # default ranges of the comparison sweeps, one per supported axis
 _AXIS_RANGES = {
@@ -79,20 +79,21 @@ def _fmt_complex(z: complex) -> str:
 # superposition where an amplitude is None; sweeps default to the
 # published comparison baseline
 _GATE_DEFAULTS = {
-    "c": 4.0, "delta_c": 0.0, "delta_a": 0.0, "kappa_ratio": 1.0, "zeta": 1.0,
+    **asdict(CavityParams(c=4.0)),
     "phi": 0.0, "v_attenuation": 1.0, "alpha_p": None, "beta_p": None, "alpha": None, "beta": None,
 }
-_SWEEP_DEFAULTS = {"c": 4.0, "delta_c": 0.0, "delta_a": 0.0, "kappa_ratio": 0.916, "zeta": 0.92}
+_SWEEP_DEFAULTS = asdict(validate_mod.BASELINE_PARAMS)
 
 _KIND_NAMES = {float: "a number", int: "an integer", type(None): "a complex amplitude or null"}
 
 
-def _check_value(path, key: str, value, default) -> None:
-    """Raise ValueError unless a file value can stand where the default
-    does: a number or numeric string, integral where the default is an
-    int, and also null or a complex string where it is None."""
+def _check_value(path, key: str, value, default):
+    """A file value converted to the type of its default. Raise ValueError
+    unless it can stand where the default does: a number or numeric
+    string, integral where the default is an int, and also null or a
+    complex string where it is None."""
     if value is None and default is None:
-        return
+        return None
     kind = type(default)
     try:
         parsed = _parse_complex(value) if default is None else kind(value)
@@ -102,11 +103,13 @@ def _check_value(path, key: str, value, default) -> None:
         raise ValueError(
             f"config {path}: {key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}"
         ) from None
+    return parsed
 
 
 def _merged_config(args, path, defaults: dict) -> dict:
     """Flag values over file values over the command's defaults, whose
-    keys are the keys the command accepts."""
+    keys are the keys the command accepts; each file value is converted
+    to the type of its default."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -120,8 +123,7 @@ def _merged_config(args, path, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"config {path}: unknown keys {unknown}")
         for key, value in cfg.items():
-            _check_value(path, key, value, defaults[key])
-        merged.update(cfg)
+            merged[key] = _check_value(path, key, value, defaults[key])
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -146,10 +148,6 @@ def _state_from_config(cfg: dict) -> JointState:
     ap, bp = _normalized_pair(cfg["alpha_p"], cfg["beta_p"], "photon")
     aa, ba = _normalized_pair(cfg["alpha"], cfg["beta"], "atom")
     return JointState(ap, bp, aa, ba)
-
-
-def _params_from_config(cfg: dict) -> CavityParams:
-    return CavityParams(**{key: float(cfg[key]) for key in _GATE_PARAM_KEYS})
 
 
 def _gate_result_dict(res) -> dict:
@@ -191,10 +189,9 @@ def _emit_result(result, args, stem: str) -> None:
 
 def cmd_gate(args) -> int:
     cfg = _merged_config(args, args.config, _GATE_DEFAULTS)
-    params = _params_from_config(cfg)
+    params = CavityParams(**{f.name: cfg[f.name] for f in fields(CavityParams)})
     state = _state_from_config(cfg)
-    phi = float(cfg["phi"])
-    att = float(cfg["v_attenuation"])
+    phi, att = cfg["phi"], cfg["v_attenuation"]
     for name, value in (("phi", phi), ("v_attenuation", att)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -209,7 +206,7 @@ def cmd_gate(args) -> int:
 
     payload = {
         "scheme": args.scheme,
-        "params": {k: cfg[k] for k in _GATE_PARAM_KEYS},
+        "params": asdict(params),
         "phi": phi,
         "v_attenuation": att,
         "state": {
@@ -259,8 +256,7 @@ def cmd_gate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merged_config(args, args.config, _SWEEP_DEFAULTS)
-    base = _params_from_config(cfg)
+    base = CavityParams(**_merged_config(args, args.config, _SWEEP_DEFAULTS))
     lo, hi = _AXIS_RANGES[args.axis]
     lo = args.min if args.min is not None else lo
     hi = args.max if args.max is not None else hi
@@ -277,10 +273,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = _merged_config(args, args.spec, standard_fluctuation_spec().to_flat_dict())
+    cfg = _merged_config(args, args.spec, asdict(FluctuationSpec()))
     if args.sigma_phi is not None:
         cfg["phi1_sigma"] = cfg["phi2_sigma"] = args.sigma_phi
-    spec = FluctuationSpec.from_flat_dict(cfg)
+    spec = FluctuationSpec(**cfg)
     if not (math.isfinite(args.cmin) and math.isfinite(args.cmax) and 0.0 < args.cmin < args.cmax):
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
     if not 1 <= args.points <= MAX_GRID_POINTS:

@@ -156,7 +156,8 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
     p_loss = 0.25 * zeta * (3.0 * refl.t_c_sq + refl.t_nc_sq)
-    survived = 1.0 - p_loss
+    # 1 - p_loss as a sum of non-negative terms, which does not cancel
+    survived = (1.0 - zeta) + 0.25 * zeta * (3.0 * abs(refl.r_c) ** 2 + abs(refl.r_nc) ** 2)
     if survived < HERALD_TOL:
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2

@@ -1,5 +1,8 @@
 """Fluctuation Monte Carlo and deterministic parameter sweeps.
 
+A FluctuationSpec is one flat record: its fields are the keys of an mc
+spec file, and the run metadata of every curve carries them unchanged.
+
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, grid index), with a fixed draw order inside each stream
 (cavity 1: C, kappa_ratio, delta_c, delta_a; cavity 2 likewise; then
@@ -28,7 +31,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,14 +40,11 @@ from .cavity import CavityParams, reflection_amplitudes
 from .entangle import _bell_new_core, _bell_old_core
 
 __all__ = [
-    "GaussianSpec",
-    "CavityFluctuation",
     "FluctuationSpec",
     "SweepResult",
     "standard_fluctuation_spec",
     "default_c_grid",
     "mc_infidelity_curve",
-    "mc_phase_noise",
     "sweep_1d",
     "write_json",
 ]
@@ -59,47 +59,49 @@ MAX_TRIALS_IN_FLIGHT = 4_000_000
 
 
 @dataclass(frozen=True)
-class GaussianSpec:
-    mean: float
-    sigma: float
+class FluctuationSpec:
+    """Gaussian fluctuations of both cavities' parameters and of the two
+    interferometer phases, plus the run's trials, seed and smoothing
+    window. The fields are the keys of an mc spec file and of the run
+    metadata; the defaults are the standard spec.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
-            raise ValueError("mean and sigma must be finite")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
-
-
-@dataclass(frozen=True)
-class CavityFluctuation:
-    """Gaussian distributions of one cavity's parameters.
-
-    Along a cooperativity grid the C distribution is rescaled so that
-    sigma/mean stays fixed (the standard spec fluctuates C by 10% of
-    its grid value).
+    Along a cooperativity grid each cavity's C distribution is rescaled
+    so that sigma/mean stays fixed (the standard spec fluctuates C by
+    10% of its grid value).
     """
 
-    c: GaussianSpec
-    kappa_ratio: GaussianSpec
-    delta_c: GaussianSpec
-    delta_a: GaussianSpec
-
-    def __post_init__(self):
-        if self.c.mean <= 0.0:
-            raise ValueError("C mean must be positive (it sets the relative sigma)")
-
-
-@dataclass(frozen=True)
-class FluctuationSpec:
-    cavity1: CavityFluctuation
-    cavity2: CavityFluctuation
-    phi1: GaussianSpec
-    phi2: GaussianSpec
-    trials: int
-    seed: int
+    cavity1_c_mean: float = 4.0
+    cavity1_c_sigma: float = 0.4
+    cavity1_kappa_ratio_mean: float = 0.9
+    cavity1_kappa_ratio_sigma: float = 0.05
+    cavity1_delta_c_mean: float = 0.0
+    cavity1_delta_c_sigma: float = 0.05
+    cavity1_delta_a_mean: float = 0.0
+    cavity1_delta_a_sigma: float = 0.05
+    cavity2_c_mean: float = 4.0
+    cavity2_c_sigma: float = 0.4
+    cavity2_kappa_ratio_mean: float = 0.9
+    cavity2_kappa_ratio_sigma: float = 0.05
+    cavity2_delta_c_mean: float = 0.0
+    cavity2_delta_c_sigma: float = 0.05
+    cavity2_delta_a_mean: float = 0.0
+    cavity2_delta_a_sigma: float = 0.05
+    phi1_mean: float = 0.0
+    phi1_sigma: float = 0.0
+    phi2_mean: float = 0.0
+    phi2_sigma: float = 0.0
+    trials: int = 10_000
+    seed: int = 2024
     window: int = 50
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if key.endswith(("_mean", "_sigma")) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key.endswith("_sigma") and value < 0.0:
+                raise ValueError(f"{key} must be >= 0")
+            if key in ("cavity1_c_mean", "cavity2_c_mean") and value <= 0.0:
+                raise ValueError(f"{key} must be positive (it sets the relative sigma)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -107,57 +109,12 @@ class FluctuationSpec:
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
-    def to_flat_dict(self) -> dict:
-        out = {}
-        for tag, cav in (("cavity1", self.cavity1), ("cavity2", self.cavity2)):
-            for field in ("c", "kappa_ratio", "delta_c", "delta_a"):
-                g: GaussianSpec = getattr(cav, field)
-                out[f"{tag}_{field}_mean"] = g.mean
-                out[f"{tag}_{field}_sigma"] = g.sigma
-        out["phi1_mean"] = self.phi1.mean
-        out["phi1_sigma"] = self.phi1.sigma
-        out["phi2_mean"] = self.phi2.mean
-        out["phi2_sigma"] = self.phi2.sigma
-        out["trials"] = self.trials
-        out["seed"] = self.seed
-        out["window"] = self.window
-        return out
-
-    @classmethod
-    def from_flat_dict(cls, d: dict) -> "FluctuationSpec":
-        def cav(tag):
-            return CavityFluctuation(
-                *(
-                    GaussianSpec(float(d[f"{tag}_{f}_mean"]), float(d[f"{tag}_{f}_sigma"]))
-                    for f in ("c", "kappa_ratio", "delta_c", "delta_a")
-                )
-            )
-
-        return cls(
-            cavity1=cav("cavity1"),
-            cavity2=cav("cavity2"),
-            phi1=GaussianSpec(float(d["phi1_mean"]), float(d["phi1_sigma"])),
-            phi2=GaussianSpec(float(d["phi2_mean"]), float(d["phi2_sigma"])),
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            window=int(d["window"]),
-        )
-
 
 def standard_fluctuation_spec(
     trials: int = 10_000, seed: int = 2024, sigma_phi: float = 0.0
 ) -> FluctuationSpec:
-    """Standard fluctuation spec: kappa_ratio ~ N(0.9, 0.05), detunings
-    ~ N(0, 0.05), C fluctuating by 10% of its grid value, optional
-    Gaussian interferometer phases."""
-    cav = CavityFluctuation(
-        c=GaussianSpec(4.0, 0.4),
-        kappa_ratio=GaussianSpec(0.9, 0.05),
-        delta_c=GaussianSpec(0.0, 0.05),
-        delta_a=GaussianSpec(0.0, 0.05),
-    )
-    phi = GaussianSpec(0.0, sigma_phi)
-    return FluctuationSpec(cavity1=cav, cavity2=cav, phi1=phi, phi2=phi, trials=trials, seed=seed)
+    """The standard spec with both phases drawn as N(0, sigma_phi)."""
+    return FluctuationSpec(phi1_sigma=sigma_phi, phi2_sigma=sigma_phi, trials=trials, seed=seed)
 
 
 def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0) -> np.ndarray:
@@ -227,13 +184,17 @@ def _n_threads() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _draw_cavity(rng, cav: CavityFluctuation, c_mean: float, n: int):
+def _draw(rng, spec: FluctuationSpec, name: str, n: int):
+    return rng.normal(getattr(spec, name + "_mean"), getattr(spec, name + "_sigma"), n)
+
+
+def _draw_cavity(rng, spec: FluctuationSpec, cavity: str, c_mean: float, n: int):
     """Fixed draw order: C, kappa_ratio, delta_c, delta_a."""
-    rel = cav.c.sigma / cav.c.mean
+    rel = getattr(spec, cavity + "_c_sigma") / getattr(spec, cavity + "_c_mean")
     c = rng.normal(c_mean, rel * c_mean, n)
-    kr = rng.normal(cav.kappa_ratio.mean, cav.kappa_ratio.sigma, n)
-    dc = rng.normal(cav.delta_c.mean, cav.delta_c.sigma, n)
-    da = rng.normal(cav.delta_a.mean, cav.delta_a.sigma, n)
+    kr = _draw(rng, spec, cavity + "_kappa_ratio", n)
+    dc = _draw(rng, spec, cavity + "_delta_c", n)
+    da = _draw(rng, spec, cavity + "_delta_a", n)
     clamped_c = int(np.count_nonzero(c < 0.0))
     clamped_kr = int(np.count_nonzero((kr < 0.0) | (kr > 1.0)))
     return np.maximum(c, 0.0), np.clip(kr, 0.0, 1.0), dc, da, clamped_c, clamped_kr
@@ -251,10 +212,10 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
         np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
     )
     n = spec.trials
-    c1, k1, dc1, da1, cl_c1, cl_k1 = _draw_cavity(rng, spec.cavity1, c_mean, n)
-    c2, k2, dc2, da2, cl_c2, cl_k2 = _draw_cavity(rng, spec.cavity2, c_mean, n)
-    f1 = rng.normal(spec.phi1.mean, spec.phi1.sigma, n)
-    f2 = rng.normal(spec.phi2.mean, spec.phi2.sigma, n)
+    c1, k1, dc1, da1, cl_c1, cl_k1 = _draw_cavity(rng, spec, "cavity1", c_mean, n)
+    c2, k2, dc2, da2, cl_c2, cl_k2 = _draw_cavity(rng, spec, "cavity2", c_mean, n)
+    f1 = _draw(rng, spec, "phi1", n)
+    f2 = _draw(rng, spec, "phi2", n)
 
     rc1, rnc1 = reflection_amplitudes(c1, dc1, da1, k1)
     rc2, rnc2 = reflection_amplitudes(c2, dc2, da2, k2)
@@ -355,7 +316,7 @@ def mc_infidelity_curve(
                 )
         means, errs = _moving_average([st[0] for st in stats], [st[1] for st in stats],
                                       spec.window)
-        meta = dict(spec.to_flat_dict())
+        meta = asdict(spec)
         meta.update(
             {
                 "kind": "mc_infidelity_curve",
@@ -375,24 +336,6 @@ def mc_infidelity_curve(
             )
         )
     return tuple(curves) if scheme == "both" else curves[0]
-
-
-def mc_phase_noise(
-    spec: FluctuationSpec, scheme: str, sigma_phi: float, c_grid=None
-) -> SweepResult | tuple[SweepResult, SweepResult]:
-    """Same curve with both interferometer phases drawn as N(0, sigma_phi).
-
-    With sigma_phi = 0 this reproduces mc_infidelity_curve bit for bit
-    (the phase draws still consume the same stream positions); scheme
-    "both" returns the (new, old) pair as there.
-    """
-    noisy = replace(
-        spec, phi1=GaussianSpec(0.0, sigma_phi), phi2=GaussianSpec(0.0, sigma_phi)
-    )
-    result = mc_infidelity_curve(noisy, scheme, c_grid)
-    for curve in result if scheme == "both" else (result,):
-        curve.metadata["kind"] = "mc_phase_noise"
-    return result
 
 
 _SWEEP_AXES = ("zeta", "kappa_ratio", "delta_c", "c")
@@ -424,17 +367,8 @@ def sweep_1d(
             means.append(avg_fidelity_new(p))
         else:
             means.append(avg_fidelity_old(p))
-    meta = {
-        "kind": "sweep_1d",
-        "axis": axis,
-        "scheme": scheme,
-        "quantity": quantity,
-        "base_c": base.c,
-        "base_delta_c": base.delta_c,
-        "base_delta_a": base.delta_a,
-        "base_kappa_ratio": base.kappa_ratio,
-        "base_zeta": base.zeta,
-    }
+    meta = {"kind": "sweep_1d", "axis": axis, "scheme": scheme, "quantity": quantity}
+    meta.update({f"base_{key}": value for key, value in asdict(base).items()})
     return SweepResult(
         xs=tuple(xs),
         means=tuple(means),

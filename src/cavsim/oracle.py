@@ -85,9 +85,6 @@ class NetworkState:
     def conservation_defect(self) -> float:
         return abs(self.norm_sq() + self.discarded - 1.0)
 
-    def amplitude(self, label) -> complex:
-        return self.amps.get(label, 0j)
-
 
 def _check(state: NetworkState) -> NetworkState:
     if state.conservation_defect() > CONSERVATION_TOL:
@@ -97,8 +94,9 @@ def _check(state: NetworkState) -> NetworkState:
     return state
 
 
-def prepare_photon_atom(photon: dict, atom, path: str = "in") -> NetworkState:
-    """Product state of one photon (H/V amplitudes) and n atom qubits.
+def prepare_photon_atom(photon: dict, atom) -> NetworkState:
+    """Product state of one photon (H/V amplitudes) on path "in" and n
+    atom qubits.
 
     `atom` is the joint atomic amplitude vector of length 2**n.
     """
@@ -116,7 +114,7 @@ def prepare_photon_atom(photon: dict, atom, path: str = "in") -> NetworkState:
         for idx, av in enumerate(atom):
             a = complex(pv) * complex(av)
             if a != 0j:
-                amps[("opt", pol, path, (), idx)] = a
+                amps[("opt", pol, "in", (), idx)] = a
     return NetworkState(atom_dim=dim, amps=amps)
 
 
@@ -288,11 +286,11 @@ def apply_scattering(
     return _transform(state, fn, events=event + 1)
 
 
-def herald(state: NetworkState, paths, min_probability: float = HERALD_TOL):
+def herald(state: NetworkState, paths):
     """Project onto the optical amplitudes on the given paths.
 
     Returns (renormalized state, detection probability); the state is
-    None when the probability is below min_probability (no herald).
+    None when the probability is below HERALD_TOL (no herald).
     Everything not detected moves into the discard scalar.
     """
     paths = set(paths)
@@ -300,7 +298,7 @@ def herald(state: NetworkState, paths, min_probability: float = HERALD_TOL):
         lbl: a for lbl, a in state.amps.items() if lbl[0] == "opt" and lbl[2] in paths
     }
     prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob < min_probability:
+    if prob < HERALD_TOL:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
     return (

@@ -22,7 +22,6 @@ from cavsim import (
     standard_fluctuation_spec,
     loss_balance,
     mc_infidelity_curve,
-    mc_phase_noise,
     multiphoton_throughput,
     reflection_lossy,
     run_cz_new,
@@ -121,11 +120,15 @@ def test_c06_fluctuation_infidelity_bands():
 
 def test_c07_interferometer_phase_noise_bands():
     start = time.monotonic()
-    spec = replace(standard_fluctuation_spec(trials=10_000, seed=424243), window=1)
     grid = np.linspace(1.0, 10.0, 31)
-    small = mc_phase_noise(spec, "new", 0.1, grid)
+
+    def curve(sigma_phi):
+        spec = standard_fluctuation_spec(trials=10_000, seed=424243, sigma_phi=sigma_phi)
+        return mc_infidelity_curve(replace(spec, window=1), "new", grid)
+
+    small = curve(0.1)
     assert max(small.means) < 0.01
-    large = mc_phase_noise(spec, "new", 0.3, grid)
+    large = curve(0.3)
     beyond = [m for x, m in zip(large.xs, large.means) if x > 5.0]
     assert max(beyond) > 0.04  # exceeds the older scheme's band
     assert time.monotonic() - start < 60.0

@@ -2,6 +2,8 @@
 byte-level determinism."""
 
 import json
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from cavsim import montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
 from cavsim.cli import (
+    _GATE_DEFAULTS,
     EXIT_CONFIG_ERROR,
     EXIT_NO_HERALD,
     EXIT_VALIDATION_FAILED,
@@ -32,6 +35,21 @@ def test_gate_ideal_with_oracle(capsys):
     out = capsys.readouterr().out
     assert "fidelity 1\n" in out
     assert "oracle_max_deviation" in out
+
+
+def test_gate_oracle_agrees_where_success_is_1e_12(capsys):
+    # the bypass arm is blocked and the cavity arm all but absorbs the
+    # photon: success is 1.2e-12, which a difference of O(1) terms
+    # carried with a relative error of ~1e-4
+    code = main(
+        ["gate", "--scheme", "new", "--c", "1e-6", "--kr", "0.7140266421059568",
+         "--zeta", "0.8930073155642367", "--v-attenuation", "0", "--alpha-p", "0.6",
+         "--beta-p", "0.8j", "--oracle", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e-12 < doc["result"]["success_probability"] < 1.2e-12
+    assert doc["oracle_max_deviation"] < 1e-10
 
 
 def test_gate_json_round_trip(capsys):
@@ -185,7 +203,7 @@ def test_mc_determinism_and_metadata_round_trip(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     doc = json.loads((tmp_path / "a" / "mc_new.json").read_text())
-    spec = FluctuationSpec.from_flat_dict(doc["metadata"])
+    spec = FluctuationSpec(**{f.name: doc["metadata"][f.name] for f in fields(FluctuationSpec)})
     grid = np.array([row[0] for row in doc["rows"]])
     rerun = mc_infidelity_curve(spec, doc["metadata"]["scheme"], grid)
     for row, mean in zip(doc["rows"], rerun.means):
@@ -362,3 +380,35 @@ def test_non_integral_count_in_spec_exits_2(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert captured.err == f"error: config {spec}: {key} must be an integer, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec_json, message",
+    [
+        ('{"cavity2_delta_c_sigma": -0.1}', "cavity2_delta_c_sigma must be >= 0"),
+        ('{"cavity1_kappa_ratio_mean": NaN}', "cavity1_kappa_ratio_mean must be finite, got nan"),
+        ('{"phi2_sigma": Infinity}', "phi2_sigma must be finite, got inf"),
+        ('{"cavity2_c_mean": "-4"}', "cavity2_c_mean must be positive"),
+    ],
+    ids=["negative-sigma", "nan-mean", "inf-sigma", "negative-c-mean"],
+)
+def test_bad_spec_value_exits_2_naming_the_key(tmp_path, capsys, spec_json, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_json)  # json.load accepts the NaN and Infinity tokens
+    out = tmp_path / "out"
+    code = main(["mc", "--scheme", "new", "--spec", str(spec), "--points", "2", "--trials", "50",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def _readme_json_block(section: str) -> dict:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    body = readme.split(f"\n### {section}\n", 1)[1].split("\n### ", 1)[0]
+    return json.loads(body.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_lists_the_config_keys_and_defaults():
+    assert _readme_json_block("gate") == _GATE_DEFAULTS
+    assert _readme_json_block("mc") == asdict(FluctuationSpec())

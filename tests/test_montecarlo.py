@@ -5,7 +5,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,14 +14,12 @@ from cavsim import montecarlo
 from cavsim import (
     CavityParams,
     FluctuationSpec,
-    GaussianSpec,
     avg_fidelity_new,
     avg_fidelity_old,
     avg_success,
     default_c_grid,
     standard_fluctuation_spec,
     mc_infidelity_curve,
-    mc_phase_noise,
     sweep_1d,
 )
 from cavsim.montecarlo import MAX_TRIALS_IN_FLIGHT, _n_threads, write_json
@@ -29,17 +27,8 @@ from cavsim.montecarlo import MAX_TRIALS_IN_FLIGHT, _n_threads, write_json
 SMALL_GRID = np.linspace(1.0, 10.0, 16)
 
 
-def _small_spec(trials=400, seed=99, window=1):
-    spec = standard_fluctuation_spec(trials=trials, seed=seed)
-    return FluctuationSpec(
-        cavity1=spec.cavity1,
-        cavity2=spec.cavity2,
-        phi1=spec.phi1,
-        phi2=spec.phi2,
-        trials=trials,
-        seed=seed,
-        window=window,
-    )
+def _small_spec(trials=400, seed=99, window=1, sigma_phi=0.0):
+    return replace(standard_fluctuation_spec(trials, seed, sigma_phi), window=window)
 
 
 def test_repeat_runs_are_identical():
@@ -85,8 +74,8 @@ def test_both_schemes_equal_separate_runs_bit_for_bit(monkeypatch, threads):
     # both are, the new scheme heralds nothing, so its skip count is exercised
     monkeypatch.setenv("CAVSIM_THREADS", threads)
     base = replace(standard_fluctuation_spec(trials=400, seed=99, sigma_phi=0.2), window=3)
-    leaky = replace(base.cavity1, kappa_ratio=GaussianSpec(0.05, 0.1))
-    spec = replace(base, cavity1=leaky, cavity2=leaky)
+    spec = replace(base, cavity1_kappa_ratio_mean=0.05, cavity1_kappa_ratio_sigma=0.1,
+                   cavity2_kappa_ratio_mean=0.05, cavity2_kappa_ratio_sigma=0.1)
     new, old = mc_infidelity_curve(spec, "both", SMALL_GRID)
     for shared, alone in ((new, mc_infidelity_curve(spec, "new", SMALL_GRID)),
                           (old, mc_infidelity_curve(spec, "old", SMALL_GRID))):
@@ -129,20 +118,9 @@ def test_trials_bound_stops_before_drawing(monkeypatch):
         mc_infidelity_curve(half, "new", SMALL_GRID)
 
 
-def test_zero_phase_noise_matches_plain_curve():
-    # the phase draws consume stream positions even at sigma = 0, so
-    # the two entry points must agree bit for bit
-    spec = _small_spec()
-    plain = mc_infidelity_curve(spec, "new", SMALL_GRID)
-    noisy = mc_phase_noise(spec, "new", 0.0, SMALL_GRID)
-    assert plain.means == noisy.means
-    assert plain.stderrs == noisy.stderrs
-
-
 def test_phase_noise_hurts_new_scheme():
-    spec = _small_spec(trials=2000)
-    plain = mc_infidelity_curve(spec, "new", SMALL_GRID)
-    noisy = mc_phase_noise(spec, "new", 0.3, SMALL_GRID)
+    plain = mc_infidelity_curve(_small_spec(trials=2000), "new", SMALL_GRID)
+    noisy = mc_infidelity_curve(_small_spec(trials=2000, sigma_phi=0.3), "new", SMALL_GRID)
     assert all(n > p for p, n in zip(plain.means, noisy.means))
 
 
@@ -184,24 +162,21 @@ def test_moving_average_window():
 def test_metadata_reconstructs_run():
     spec = _small_spec()
     res = mc_infidelity_curve(spec, "new", SMALL_GRID)
-    rebuilt_spec = FluctuationSpec.from_flat_dict(res.metadata)
+    rebuilt_spec = FluctuationSpec(**{f.name: res.metadata[f.name] for f in fields(spec)})
     rebuilt = mc_infidelity_curve(rebuilt_spec, res.metadata["scheme"], np.array(res.xs))
     assert rebuilt.means == res.means
     assert rebuilt.stderrs == res.stderrs
 
 
-def test_flat_dict_round_trip():
-    spec = standard_fluctuation_spec(trials=777, seed=12345, sigma_phi=0.2)
-    assert FluctuationSpec.from_flat_dict(spec.to_flat_dict()) == spec
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         standard_fluctuation_spec(trials=0)
-    with pytest.raises(ValueError):
-        GaussianSpec(0.0, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cavity2_delta_c_sigma must be >= 0$"):
+        FluctuationSpec(cavity2_delta_c_sigma=-0.1)
+    with pytest.raises(ValueError, match="^phi1_sigma must be finite, got nan$"):
         standard_fluctuation_spec(sigma_phi=float("nan"))
+    with pytest.raises(ValueError, match="^cavity1_c_mean must be positive"):
+        FluctuationSpec(cavity1_c_mean=0.0)
     spec = standard_fluctuation_spec()
     with pytest.raises(ValueError):
         mc_infidelity_curve(spec, "fancy", SMALL_GRID)
