@@ -21,8 +21,6 @@ import cmath
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
 __all__ = [
@@ -122,8 +120,11 @@ def _new_core(r_c, r_nc, zeta, a2, b2, phase, att):
 
     Returns (fidelity numerator, success, p_loss, raw H probability,
     survival 1 - p_loss). Fidelity = numerator / success where success
-    is nonzero.
+    is nonzero. numpy's complex abs is kept on scalars too: Python's
+    rounds differently, and the oracle deviations would move.
     """
+    import numpy as np
+
     g = 0.5 * (r_c - r_nc)
     t_sum = (1.0 - np.abs(r_c) ** 2) + (1.0 - np.abs(r_nc) ** 2)
     p_loss = (1.0 - att * att) * a2 + zeta * 0.5 * b2 * t_sum
@@ -192,6 +193,8 @@ def cz_new(
 
 def _old_core(r_c, r_nc, zeta, ap2, bp2, aa2, ba2):
     """Elementwise kernel for the bare-reflection gate."""
+    import numpy as np
+
     t_c_sq = 1.0 - np.abs(r_c) ** 2
     t_nc_sq = 1.0 - np.abs(r_nc) ** 2
     u = bp2 * ba2

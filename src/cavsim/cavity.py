@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "BASELINE_PARAMS",
     "CavityParams",
     "ReflectionPair",
     "reflection_amplitudes",
@@ -49,6 +50,10 @@ class CavityParams:
             raise ValueError("zeta must lie in [0, 1]")
         if not (math.isfinite(self.delta_c) and math.isfinite(self.delta_a)):
             raise ValueError("detunings must be finite")
+
+
+# common reference point of the scheme-comparison sweeps
+BASELINE_PARAMS = CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.92)
 
 
 @dataclass(frozen=True)

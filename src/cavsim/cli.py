@@ -33,18 +33,15 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import validate as validate_mod
 from .analytic import JointState, NoHeraldError, cz_new, cz_old
-from .cavity import CavityParams, reflection_lossy
+from .cavity import BASELINE_PARAMS, CavityParams, reflection_lossy
 from .montecarlo import (
     FluctuationSpec,
+    default_c_grid,
     mc_infidelity_curve,
     sweep_1d,
     write_json,
 )
-from .oracle import run_cz_new, run_cz_old
 
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
@@ -82,7 +79,7 @@ _GATE_DEFAULTS = {
     **asdict(CavityParams(c=4.0)),
     "phi": 0.0, "v_attenuation": 1.0, "alpha_p": None, "beta_p": None, "alpha": None, "beta": None,
 }
-_SWEEP_DEFAULTS = asdict(validate_mod.BASELINE_PARAMS)
+_SWEEP_DEFAULTS = asdict(BASELINE_PARAMS)
 
 _KIND_NAMES = {float: "a number", int: "an integer", type(None): "a complex amplitude or null"}
 
@@ -218,11 +215,13 @@ def cmd_gate(args) -> int:
         "result": _gate_result_dict(res),
     }
     if args.oracle:
+        from . import oracle
+
         refl = reflection_lossy(params)
         if args.scheme == "new":
-            net = run_cz_new(refl, params.zeta, state, phi=phi, v_attenuation=att)
+            net = oracle.run_cz_new(refl, params.zeta, state, phi=phi, v_attenuation=att)
         else:
-            net = run_cz_old(refl, params.zeta, state)
+            net = oracle.run_cz_old(refl, params.zeta, state)
         if net.no_herald:
             print("error: oracle heralds nothing at this operating point", file=sys.stderr)
             return EXIT_VALIDATION_FAILED
@@ -255,6 +254,21 @@ def cmd_gate(args) -> int:
     return 0
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, equal bit for bit to
+    np.linspace(lo, hi, n), whose arithmetic this repeats; where the
+    step underflows to zero it scales i / (n - 1) by the width instead."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
 def cmd_sweep(args) -> int:
     base = CavityParams(**_merged_config(args, args.config, _SWEEP_DEFAULTS))
     lo, hi = _AXIS_RANGES[args.axis]
@@ -264,7 +278,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"bad sweep range [{lo}, {hi}]")
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"sweep needs 2 to {MAX_GRID_POINTS} points, got {args.points}")
-    values = np.linspace(lo, hi, args.points)
+    values = _linspace(lo, hi, args.points)
     schemes = ("new", "old") if args.scheme == "both" else (args.scheme,)
     results = [sweep_1d(base, args.axis, values, scheme, args.quantity) for scheme in schemes]
     for scheme, result in zip(schemes, results):
@@ -281,7 +295,7 @@ def cmd_mc(args) -> int:
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
     if not 1 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"mc needs 1 to {MAX_GRID_POINTS} grid points, got {args.points}")
-    grid = np.linspace(args.cmin, args.cmax, args.points)
+    grid = default_c_grid(args.points, args.cmin, args.cmax)
     result = mc_infidelity_curve(spec, args.scheme, grid)
     for curve in result if args.scheme == "both" else (result,):
         _emit_result(curve, args, f"mc_{curve.metadata['scheme']}")
@@ -289,7 +303,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    reports = validate_mod.run_all()
+    from .validate import run_all
+
+    reports = run_all()
     for report in reports:
         for line in report.lines():
             print(line)

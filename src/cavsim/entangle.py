@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .analytic import HERALD_TOL, NoHeraldError, _reduce_phase
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
@@ -54,6 +52,8 @@ def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, dphi):
     from; the two heralded polarization outcomes have the same fidelity.
     The herald probability is weight / 2.
     """
+    import numpy as np
+
     g1 = 0.5 * (r_c1 - r_nc1)
     g2 = 0.5 * (r_c2 - r_nc2)
     weight = np.abs(g1) ** 2 + np.abs(g2) ** 2
@@ -67,6 +67,8 @@ def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
     A branch's herald probability is its weight / 16 (the two weights
     sum to 16 for lossless reflections).
     """
+    import numpy as np
+
     nn = r_nc2 * r_nc1
     nc = r_nc2 * r_c1
     cn = r_c2 * r_nc1
@@ -91,6 +93,8 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     give exactly 1: the protocol filters its own errors into heralded
     failures.
     """
+    import numpy as np
+
     p1 = reflection_lossy(setup.cavity_1)
     p2 = reflection_lossy(setup.cavity_2)
     dphi = _reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)

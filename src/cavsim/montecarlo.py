@@ -30,14 +30,11 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
 
 from .analytic import HERALD_TOL, NoHeraldError, avg_fidelity_new, avg_fidelity_old, avg_success
 from .cavity import CavityParams, reflection_amplitudes
-from .entangle import _bell_new_core, _bell_old_core
 
 __all__ = [
     "FluctuationSpec",
@@ -117,7 +114,9 @@ def standard_fluctuation_spec(
     return FluctuationSpec(phi1_sigma=sigma_phi, phi2_sigma=sigma_phi, trials=trials, seed=seed)
 
 
-def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0) -> np.ndarray:
+def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0):
+    import numpy as np
+
     return np.linspace(c_min, c_max, points)
 
 
@@ -167,7 +166,8 @@ def _rounded(obj):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]
-    if isinstance(obj, np.generic):
+    np = sys.modules.get("numpy")  # no numpy scalar exists unless numpy is loaded
+    if np is not None and isinstance(obj, np.generic):
         # stray numpy scalar (np.bool_, np.int64, ...): unwrap for json
         return _rounded(obj.item())
     return obj
@@ -184,48 +184,56 @@ def _n_threads() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _draw(rng, spec: FluctuationSpec, name: str, n: int):
-    return rng.normal(getattr(spec, name + "_mean"), getattr(spec, name + "_sigma"), n)
-
-
-def _draw_cavity(rng, spec: FluctuationSpec, cavity: str, c_mean: float, n: int):
-    """Fixed draw order: C, kappa_ratio, delta_c, delta_a."""
-    rel = getattr(spec, cavity + "_c_sigma") / getattr(spec, cavity + "_c_mean")
-    c = rng.normal(c_mean, rel * c_mean, n)
-    kr = _draw(rng, spec, cavity + "_kappa_ratio", n)
-    dc = _draw(rng, spec, cavity + "_delta_c", n)
-    da = _draw(rng, spec, cavity + "_delta_a", n)
-    clamped_c = int(np.count_nonzero(c < 0.0))
-    clamped_kr = int(np.count_nonzero((kr < 0.0) | (kr > 1.0)))
-    return np.maximum(c, 0.0), np.clip(kr, 0.0, 1.0), dc, da, clamped_c, clamped_kr
+# the fixed draw order of a grid point's stream
+_DRAWN = tuple(
+    f"cavity{k}_{name}" for k in (1, 2) for name in ("c", "kappa_ratio", "delta_c", "delta_a")
+) + ("phi1", "phi2")
 
 
 def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
     """Infidelity statistics of each scheme in `schemes` at one grid point.
 
-    The point's Philox stream is drawn once and each cavity reflected
-    once; every scheme's kernel reads those shared arrays. Returns one
-    (mean, stderr, skipped) per scheme, None where nothing heralds, then
-    the clamp counts.
+    The point's Philox stream is drawn once, as one block of standard
+    normals with a row per parameter in _DRAWN order, scaled in place
+    (bit-equal to one rng.normal call per parameter); each cavity is
+    reflected once and every scheme's kernel reads those shared arrays.
+    Returns one (mean, stderr, skipped) per scheme, None where nothing
+    heralds, then the clamp counts.
     """
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
     )
-    n = spec.trials
-    c1, k1, dc1, da1, cl_c1, cl_k1 = _draw_cavity(rng, spec, "cavity1", c_mean, n)
-    c2, k2, dc2, da2, cl_c2, cl_k2 = _draw_cavity(rng, spec, "cavity2", c_mean, n)
-    f1 = _draw(rng, spec, "phi1", n)
-    f2 = _draw(rng, spec, "phi2", n)
+    rows = rng.standard_normal(len(_DRAWN) * spec.trials).reshape(len(_DRAWN), -1)
+    for row, name in zip(rows, _DRAWN):
+        mean, sigma = getattr(spec, name + "_mean"), getattr(spec, name + "_sigma")
+        if name in ("cavity1_c", "cavity2_c"):  # sigma / mean stays fixed along the grid
+            mean, sigma = c_mean, sigma / mean * c_mean
+        row *= sigma
+        row += mean
+    c1, k1, dc1, da1, c2, k2, dc2, da2, f1, f2 = rows
+    clamped_c = clamped_kr = 0
+    for c, kr in ((c1, k1), (c2, k2)):
+        clamped_c += int(np.count_nonzero(c < 0.0))
+        clamped_kr += int(np.count_nonzero((kr < 0.0) | (kr > 1.0)))
+        np.maximum(c, 0.0, out=c)
+        np.maximum(kr, 0.0, out=kr)
+        np.minimum(kr, 1.0, out=kr)
 
     rc1, rnc1 = reflection_amplitudes(c1, dc1, da1, k1)
     rc2, rnc2 = reflection_amplitudes(c2, dc2, da2, k2)
     stats = [_infidelity_stats(s, rc1, rnc1, rc2, rnc2, f1, f2) for s in schemes]
-    return stats, cl_c1 + cl_c2, cl_k1 + cl_k2
+    return stats, clamped_c, clamped_kr
 
 
 def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
     """(mean, stderr, skipped) of one scheme's infidelity over the heralded
     trials, or None if none heralds. Its temporaries die on return."""
+    import numpy as np
+
+    from .entangle import _bell_new_core, _bell_old_core
+
     if scheme == "new":
         with np.errstate(divide="ignore", invalid="ignore"):
             fid, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, f2 - f1)
@@ -247,6 +255,8 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
 
 
 def _moving_average(means, stderrs, window: int):
+    import numpy as np
+
     n = len(means)
     out_m = []
     out_e = []
@@ -282,6 +292,8 @@ def mc_infidelity_curve(
     workers exceeds MAX_TRIALS_IN_FLIGHT raises ValueError before any
     draw.
     """
+    import numpy as np
+
     if scheme not in _SCHEMES + ("both",):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'new', 'old' or 'both'")
     schemes = _SCHEMES if scheme == "both" else (scheme,)
@@ -299,6 +311,8 @@ def mc_infidelity_curve(
             f"{MAX_TRIALS_IN_FLIGHT} trials x workers; use fewer trials or CAVSIM_THREADS"
         )
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda iv: _mc_point(spec, schemes, iv[1], iv[0]), points))
     else:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .analytic import GateResult, JointState, avg_success, cz_new, cz_old
-from .cavity import CavityParams, ReflectionPair, reflection_lossy
+from .cavity import BASELINE_PARAMS, CavityParams, ReflectionPair, reflection_lossy
 from .entangle import two_atoms_one_cavity, two_atoms_one_cavity_from_reflections
 from .oracle import run_cz_new
 
@@ -52,8 +52,6 @@ EXPERIMENT_1_PARAMS = CavityParams(
 EXPERIMENT_2_PARAMS = CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.92)
 # operating point of the arm-balancing demonstration (no mismatch)
 BALANCE_PARAMS = CavityParams(c=4.0, kappa_ratio=0.916, zeta=1.0)
-# common reference point for the scheme-comparison sweeps
-BASELINE_PARAMS = CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.92)
 
 _MODES = ("within", "at_least")
 

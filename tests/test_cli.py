@@ -11,7 +11,9 @@ import pytest
 from cavsim import montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
 from cavsim.cli import (
+    _AXIS_RANGES,
     _GATE_DEFAULTS,
+    _linspace,
     EXIT_CONFIG_ERROR,
     EXIT_NO_HERALD,
     EXIT_VALIDATION_FAILED,
@@ -119,7 +121,8 @@ def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
     def no_herald_oracle(*args, **kwargs):
         return GateResult(None, 0.0, 1.0, 0.0, no_herald=True)
 
-    monkeypatch.setattr("cavsim.cli.run_cz_new", no_herald_oracle)
+    # cmd_gate imports the oracle only under --oracle, and looks it up there
+    monkeypatch.setattr("cavsim.oracle.run_cz_new", no_herald_oracle)
     code = main("gate --scheme new --c 4 --kr 0.916 --oracle".split())
     assert code == EXIT_VALIDATION_FAILED
     assert "oracle heralds nothing" in capsys.readouterr().err
@@ -164,6 +167,23 @@ def test_points_above_bound_exit_2_before_allocating(command, tmp_path, capsys, 
     assert code == EXIT_CONFIG_ERROR
     assert "1000000" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# (0, 5e-324) at 3 points and (0, 1e-321) at 1001: the step underflows
+# to 0 and numpy scales i / (n - 1) by the width instead
+@pytest.mark.parametrize(
+    "lo, hi", [*_AXIS_RANGES.values(), (-3.7, 11.3), (0.0, 1e-321), (0.0, 5e-324)]
+)
+@pytest.mark.parametrize("n", [2, 3, 1001])
+def test_sweep_grid_is_np_linspace_bit_for_bit(lo, hi, n):
+    expected = [float(x).hex() for x in np.linspace(lo, hi, n)]
+    assert [x.hex() for x in _linspace(lo, hi, n)] == expected
+
+
+def test_sweep_grid_reaches_the_zero_step_branch():
+    assert (1e-321 - 0.0) / 1000 == 0.0 and (5e-324 - 0.0) / 2 == 0.0
+    # a zero step would leave every point but the last at lo
+    assert 0.0 < _linspace(0.0, 1e-321, 1001)[500] < 1e-321
 
 
 def test_sweep_files(tmp_path, capsys):

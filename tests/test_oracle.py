@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from cavsim import CavityParams, JointState, ReflectionPair, reflection_lossy
+from cavsim import CavityParams, JointState, NoHeraldError, ReflectionPair, reflection_lossy
 from cavsim.analytic import cz_new_from_reflections, cz_old_from_reflections
+from cavsim.cli import ORACLE_AGREEMENT_TOL
 from cavsim.entangle import TwoCavitySetup, atom_atom_new
 from cavsim.oracle import (
     HERALD_TOL,
@@ -28,7 +30,14 @@ from cavsim.oracle import (
     run_cz_old,
     run_remote_new,
 )
-from conftest import random_cavity_params, random_joint_state
+from conftest import (
+    bloch_pairs,
+    edge_cavity_params,
+    edge_phases,
+    random_cavity_params,
+    random_joint_state,
+    unit_or_edge,
+)
 
 EQUAL = JointState.equal_superposition()
 
@@ -184,6 +193,52 @@ def test_remote_chain_matches_closed_form():
         g2 = 0.5 * abs(r2.r_c - r2.r_nc)
         assert abs(res.herald_probability - 0.5 * (g1**2 + g2**2)) < 1e-10
         assert abs(res.prob_v + res.prob_h - res.herald_probability) < 1e-12
+
+
+# 400 draws reach v_attenuation = 0 at c = 1e-6, where success is ~1e-12:
+# the new scheme's success written as 1 - p_loss - raw_h fails there
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    p=edge_cavity_params(),
+    phi=edge_phases(),
+    att=unit_or_edge(),
+    photon=bloch_pairs(),
+    atom=bloch_pairs(),
+)
+def test_gates_match_network_on_the_edges(p, phi, att, photon, atom):
+    refl = reflection_lossy(p)
+    s = JointState(*photon, *atom)
+    for closed, net in (
+        (
+            cz_new_from_reflections(refl, p.zeta, s, phi=phi, v_attenuation=att),
+            run_cz_new(refl, p.zeta, s, phi=phi, v_attenuation=att),
+        ),
+        (cz_old_from_reflections(refl, p.zeta, s), run_cz_old(refl, p.zeta, s)),
+    ):
+        assert closed.no_herald == net.no_herald
+        assert abs(closed.success_probability - net.success_probability) <= ORACLE_AGREEMENT_TOL
+        assert abs(closed.p_loss - net.p_loss) <= ORACLE_AGREEMENT_TOL
+        if not closed.no_herald:
+            assert abs(closed.fidelity - net.fidelity) <= ORACLE_AGREEMENT_TOL
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    p1=edge_cavity_params(zeta=1.0),
+    p2=edge_cavity_params(zeta=1.0),
+    phi_1=edge_phases(),
+    phi_2=edge_phases(),
+)
+def test_remote_chain_matches_closed_form_on_the_edges(p1, p2, phi_1, phi_2):
+    net = run_remote_new(reflection_lossy(p1), reflection_lossy(p2), phi_1, phi_2)
+    try:
+        closed = atom_atom_new(TwoCavitySetup(p1, p2, phi_1, phi_2))
+    except NoHeraldError:
+        assert net.no_herald
+        return
+    assert not net.no_herald
+    assert abs(net.fidelity_v - closed) <= ORACLE_AGREEMENT_TOL
+    assert abs(net.fidelity_h - closed) <= ORACLE_AGREEMENT_TOL
 
 
 def test_remote_chain_ideal_is_perfect():
