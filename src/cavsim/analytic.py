@@ -116,24 +116,21 @@ def _clamp01(x: float) -> float:
 
 
 def _new_core(r_c, r_nc, zeta, a2, b2, phase, att):
-    """Shared kernel; works elementwise on numpy arrays.
+    """Shared kernel; works on scalars and elementwise on numpy arrays.
 
     Returns (fidelity numerator, success, p_loss, raw H probability,
     survival 1 - p_loss). Fidelity = numerator / success where success
-    is nonzero. numpy's complex abs is kept on scalars too: Python's
-    rounds differently, and the oracle deviations would move.
+    is nonzero.
     """
-    import numpy as np
-
     g = 0.5 * (r_c - r_nc)
-    t_sum = (1.0 - np.abs(r_c) ** 2) + (1.0 - np.abs(r_nc) ** 2)
+    t_sum = (1.0 - abs(r_c) ** 2) + (1.0 - abs(r_nc) ** 2)
     p_loss = (1.0 - att * att) * a2 + zeta * 0.5 * b2 * t_sum
     nl2 = 1.0 - p_loss
-    raw_h = (1.0 - zeta) * b2 + zeta * 0.25 * b2 * np.abs(r_c + r_nc) ** 2
+    raw_h = (1.0 - zeta) * b2 + zeta * 0.25 * b2 * abs(r_c + r_nc) ** 2
     # nl2 - raw_h for a normalized photon, as a sum of non-negative terms:
     # the difference cancels to rounding error where success is near zero
-    success = att * att * a2 + zeta * np.abs(g) ** 2 * b2
-    num = (1.0 - zeta) * (att * a2) ** 2 + zeta * np.abs(att * a2 * phase + g * b2) ** 2
+    success = att * att * a2 + zeta * abs(g) ** 2 * b2
+    num = (1.0 - zeta) * (att * a2) ** 2 + zeta * abs(att * a2 * phase + g * b2) ** 2
     return num, success, p_loss, raw_h, nl2
 
 
@@ -192,18 +189,16 @@ def cz_new(
 
 
 def _old_core(r_c, r_nc, zeta, ap2, bp2, aa2, ba2):
-    """Elementwise kernel for the bare-reflection gate."""
-    import numpy as np
-
-    t_c_sq = 1.0 - np.abs(r_c) ** 2
-    t_nc_sq = 1.0 - np.abs(r_nc) ** 2
+    """Kernel of the bare-reflection gate; scalars or numpy arrays."""
+    t_c_sq = 1.0 - abs(r_c) ** 2
+    t_nc_sq = 1.0 - abs(r_nc) ** 2
     u = bp2 * ba2
     p_loss = zeta * (t_nc_sq + u * (t_c_sq - t_nc_sq))
     # 1 - p_loss as a sum of non-negative terms, which does not cancel
-    success = (1.0 - zeta) + zeta * ((1.0 - u) * np.abs(r_nc) ** 2 + u * np.abs(r_c) ** 2)
+    success = (1.0 - zeta) + zeta * ((1.0 - u) * abs(r_nc) ** 2 + u * abs(r_c) ** 2)
     mis = ap2 + bp2 * (aa2 - ba2)
     mat = ap2 * r_nc + bp2 * (r_nc * aa2 - r_c * ba2)
-    num = (1.0 - zeta) * mis**2 + zeta * np.abs(mat) ** 2
+    num = (1.0 - zeta) * mis**2 + zeta * abs(mat) ** 2
     return num, success, p_loss
 
 

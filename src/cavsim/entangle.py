@@ -10,6 +10,7 @@ from the oracle module's element functions instead.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,43 +46,40 @@ class TwoCavitySetup:
             raise ValueError("atom-atom closed forms require zeta = 1 on both cavities")
 
 
-def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, dphi):
-    """Fidelity and (unnormalized) herald weight; elementwise on arrays.
+def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, phase):
+    """Fidelity numerator and (unnormalized) herald weight; scalars or
+    numpy arrays. phase is exp(i (phi_2 - phi_1)).
 
     The photon picks up (r_c - r_nc)/2 at whichever node it scatters
-    from; the two heralded polarization outcomes have the same fidelity.
-    The herald probability is weight / 2.
+    from; the two heralded polarization outcomes have the same fidelity,
+    numerator / weight. The herald probability is weight / 2.
     """
-    import numpy as np
-
     g1 = 0.5 * (r_c1 - r_nc1)
     g2 = 0.5 * (r_c2 - r_nc2)
-    weight = np.abs(g1) ** 2 + np.abs(g2) ** 2
-    fid = 0.5 * np.abs(g2 + g1 * np.exp(1j * dphi)) ** 2 / weight
-    return fid, weight
+    weight = abs(g1) ** 2 + abs(g2) ** 2
+    num = 0.5 * abs(g2 + g1 * phase) ** 2
+    return num, weight
 
 
 def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
     """Numerators and branch weights of the prior scheme's two heralds.
 
     A branch's herald probability is its weight / 16 (the two weights
-    sum to 16 for lossless reflections).
+    sum to 16 for lossless reflections). Scalars or numpy arrays.
     """
-    import numpy as np
-
     nn = r_nc2 * r_nc1
     nc = r_nc2 * r_c1
     cn = r_c2 * r_nc1
     cc = r_c2 * r_c1
-    num_phi = 0.5 * np.abs(2.0 * nn + (nn + cc)) ** 2
+    num_phi = 0.5 * abs(2.0 * nn + (nn + cc)) ** 2
     den_phi = (
-        np.abs(2.0 * nn) ** 2
-        + np.abs(nn + nc) ** 2
-        + np.abs(nn + cn) ** 2
-        + np.abs(nn + cc) ** 2
+        abs(2.0 * nn) ** 2
+        + abs(nn + nc) ** 2
+        + abs(nn + cn) ** 2
+        + abs(nn + cc) ** 2
     )
-    num_psi = 0.5 * np.abs((nn - nc) + (nn - cn)) ** 2
-    den_psi = np.abs(nn - nc) ** 2 + np.abs(nn - cn) ** 2 + np.abs(nn - cc) ** 2
+    num_psi = 0.5 * abs((nn - nc) + (nn - cn)) ** 2
+    den_psi = abs(nn - nc) ** 2 + abs(nn - cn) ** 2 + abs(nn - cc) ** 2
     return num_phi, den_phi, num_psi, den_psi
 
 
@@ -93,16 +91,13 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     give exactly 1: the protocol filters its own errors into heralded
     failures.
     """
-    import numpy as np
-
     p1 = reflection_lossy(setup.cavity_1)
     p2 = reflection_lossy(setup.cavity_2)
-    dphi = _reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fid, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, dphi)
+    phase = cmath.exp(1j * (_reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)))
+    num, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
     if 0.5 * weight < HERALD_TOL:
         raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
-    return float(fid)
+    return num / weight
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,13 @@ _SCHEMES = ("new", "old")
 # thread between 2e5 and 1e6 trials. The bound keeps that near 1.1 GB.
 MAX_TRIALS_IN_FLIGHT = 4_000_000
 
+# numpy's ziggurat standard normal stays below 13.71 in magnitude: its
+# tail draw is r - ln(1 - U) / r with r = 3.654 and U <= 1 - 2**-53. A C
+# grid is refused if C_max (1 + _Z_MAX sigma / mean) could overflow the
+# 2 C of reflection_amplitudes.
+_Z_MAX = 14.0
+_C_LIMIT = sys.float_info.max / 2.0
+
 
 @dataclass(frozen=True)
 class FluctuationSpec:
@@ -235,9 +242,10 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
     from .entangle import _bell_new_core, _bell_old_core
 
     if scheme == "new":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fid, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, f2 - f1)
+        num, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, np.exp(1j * (f2 - f1)))
         p_herald = 0.5 * weight
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fid = num / weight
     else:
         num_phi, den_phi, num_psi, den_psi = _bell_old_core(rc1, rnc1, rc2, rnc2)
         total = den_phi + den_psi
@@ -289,8 +297,8 @@ def mc_infidelity_curve(
     scheme "new" or "old" returns one SweepResult; "both" returns the
     (new, old) pair from a single pass over the grid, each curve equal
     bit for bit to its own single-scheme call. A run whose trials times
-    workers exceeds MAX_TRIALS_IN_FLIGHT raises ValueError before any
-    draw.
+    workers exceeds MAX_TRIALS_IN_FLIGHT, or whose C draws could overflow
+    2 C, raises ValueError before any draw.
     """
     import numpy as np
 
@@ -302,6 +310,13 @@ def mc_infidelity_curve(
         raise ValueError("c_grid must be a non-empty 1-d array")
     if np.any(grid <= 0.0):
         raise ValueError("cooperativity grid values must be positive")
+    for k in (1, 2):
+        rel = getattr(spec, f"cavity{k}_c_sigma") / getattr(spec, f"cavity{k}_c_mean")
+        if not float(grid.max()) * (1.0 + _Z_MAX * rel) <= _C_LIMIT:
+            raise ValueError(
+                f"cooperativity grid up to {float(grid.max()):g} with cavity{k} C sigma/mean "
+                f"{rel:g} can draw C above {_C_LIMIT:g}, where 2 C overflows"
+            )
 
     points = list(enumerate(grid))
     workers = min(_n_threads(), len(points))

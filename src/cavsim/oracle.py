@@ -15,6 +15,12 @@ amplitudes never re-enter an optical path, and the squared norm of the
 full vector plus the accumulated discard stays at 1 after every
 element; runners check this at each step.
 
+Each element is one direct loop (a dict comprehension where it only
+relabels or rephases) over the amplitude dict. It builds the new dict
+in the order of the old one's labels, drops zero amplitudes, and adds
+amplitudes that land on the same label coherently, so every sum over a
+state runs in one fixed order.
+
 None of this shares code with the closed forms in `analytic`, so the
 agreement tests between the two are a genuine cross-check.
 
@@ -74,7 +80,8 @@ class NetworkState:
     events: int = 0
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        # a list, not a generator: the same sum in the same order, faster
+        return sum([abs(a) ** 2 for a in self.amps.values()])
 
     def optical_norm_sq(self) -> float:
         return sum(abs(a) ** 2 for lbl, a in self.amps.items() if lbl[0] == "opt")
@@ -118,20 +125,10 @@ def prepare_photon_atom(photon: dict, atom) -> NetworkState:
     return NetworkState(atom_dim=dim, amps=amps)
 
 
-def _transform(state: NetworkState, fn, events: int | None = None) -> NetworkState:
-    """Rebuild the amplitude dict by mapping each (label, amp) pair.
-
-    fn yields (new_label, new_amp) pairs; contributions to the same
-    label add coherently.
-    """
-    out = {}
-    for lbl, a in state.amps.items():
-        for nl, na in fn(lbl, a):
-            if na != 0j:
-                out[nl] = out.get(nl, 0j) + na
+def _with_amps(state: NetworkState, amps: dict, events: int | None = None) -> NetworkState:
     return NetworkState(
         atom_dim=state.atom_dim,
-        amps=out,
+        amps=amps,
         discarded=state.discarded,
         events=state.events if events is None else events,
     )
@@ -139,56 +136,50 @@ def _transform(state: NetworkState, fn, events: int | None = None) -> NetworkSta
 
 def apply_pbs(state: NetworkState, in_path: str, h_path: str, v_path: str) -> NetworkState:
     """Route H on in_path to h_path and V to v_path."""
-
-    def fn(lbl, a):
+    out = {}
+    for lbl, a in state.amps.items():
         if lbl[0] == "opt" and lbl[2] == in_path:
             _, pol, _, mode, atom = lbl
-            yield ("opt", pol, h_path if pol == "H" else v_path, mode, atom), a
-        else:
-            yield lbl, a
-
-    return _transform(state, fn)
+            lbl = ("opt", pol, h_path if pol == "H" else v_path, mode, atom)
+        if a != 0j:  # h_path or v_path may already carry the label
+            out[lbl] = out.get(lbl, 0j) + a
+    return _with_amps(state, out)
 
 
 def apply_hwp(state: NetworkState, path: str) -> NetworkState:
     """Swap H and V on one path."""
-
-    def fn(lbl, a):
-        if lbl[0] == "opt" and lbl[2] == path:
-            _, pol, _, mode, atom = lbl
-            yield ("opt", "V" if pol == "H" else "H", path, mode, atom), a
-        else:
-            yield lbl, a
-
-    return _transform(state, fn)
+    return _with_amps(state, {
+        ("opt", "V" if lbl[1] == "H" else "H", path, lbl[3], lbl[4])
+        if lbl[0] == "opt" and lbl[2] == path else lbl: a
+        for lbl, a in state.amps.items() if a != 0j
+    })
 
 
 def apply_qwp(state: NetworkState, path: str) -> NetworkState:
     """H -> (V - H)/sqrt(2), V -> (V + H)/sqrt(2) on one path."""
-
-    def fn(lbl, a):
+    out = {}
+    for lbl, a in state.amps.items():
         if lbl[0] == "opt" and lbl[2] == path:
             _, pol, _, mode, atom = lbl
             sign = -1.0 if pol == "H" else 1.0
-            yield ("opt", "H", path, mode, atom), a * sign * _SQRT_HALF
-            yield ("opt", "V", path, mode, atom), a * _SQRT_HALF
-        else:
-            yield lbl, a
-
-    return _transform(state, fn)
+            for nl, na in (
+                (("opt", "H", path, mode, atom), a * sign * _SQRT_HALF),
+                (("opt", "V", path, mode, atom), a * _SQRT_HALF),
+            ):
+                if na != 0j:
+                    out[nl] = out.get(nl, 0j) + na
+        elif a != 0j:
+            out[lbl] = out.get(lbl, 0j) + a
+    return _with_amps(state, out)
 
 
 def apply_phase(state: NetworkState, path: str, phi: float) -> NetworkState:
     """Multiply every optical amplitude on path by exp(i phi)."""
     factor = cmath.exp(1j * _reduce_phase(phi))
-
-    def fn(lbl, a):
-        if lbl[0] == "opt" and lbl[2] == path:
-            yield lbl, a * factor
-        else:
-            yield lbl, a
-
-    return _transform(state, fn)
+    return _with_amps(state, {
+        lbl: a * factor if lbl[0] == "opt" and lbl[2] == path else a
+        for lbl, a in state.amps.items() if a != 0j
+    })
 
 
 def apply_attenuator(state: NetworkState, path: str, amplitude: float) -> NetworkState:
@@ -197,16 +188,17 @@ def apply_attenuator(state: NetworkState, path: str, amplitude: float) -> Networ
         raise ValueError("attenuator amplitude must lie in [0, 1]")
     event = state.events
     t = math.sqrt(max(0.0, 1.0 - amplitude * amplitude))
-
-    def fn(lbl, a):
+    out = {}
+    for lbl, a in state.amps.items():
         if lbl[0] == "opt" and lbl[2] == path:
             _, pol, _, mode, atom = lbl
-            yield lbl, a * amplitude
-            yield ("loss", event, ("att", pol), mode, atom), a * t
+            pairs = ((lbl, a * amplitude), (("loss", event, ("att", pol), mode, atom), a * t))
         else:
-            yield lbl, a
-
-    return _transform(state, fn, events=event + 1)
+            pairs = ((lbl, a),)
+        for nl, na in pairs:
+            if na != 0j:
+                out[nl] = out.get(nl, 0j) + na
+    return _with_amps(state, out, events=event + 1)
 
 
 def _coupled(coupling: str, sigma: int, bit: int) -> bool:
@@ -243,47 +235,62 @@ def apply_scattering(
     atom_bit selects which atomic qubit sits in this cavity when the
     state carries more than one.
     """
-    _coupled(coupling, 0, 0)  # validate the coupling name early
+    t_c = math.sqrt(refl.t_c_sq)
+    t_nc = math.sqrt(refl.t_nc_sq)
+    # the (reflection, loss) amplitudes that each (sigma, atom bit) sees;
+    # this validates the coupling name first
+    seen = {
+        (sigma, bit): (refl.r_c, t_c) if _coupled(coupling, sigma, bit) else (refl.r_nc, t_nc)
+        for sigma in (0, 1)
+        for bit in (0, 1)
+    }
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
     event = state.events
     split = zeta < 1.0
     w_match = math.sqrt(zeta)
     w_mis = math.sqrt(1.0 - zeta) * cmath.exp(1j * _reduce_phase(theta))
-    t_c = math.sqrt(refl.t_c_sq)
-    t_nc = math.sqrt(refl.t_nc_sq)
-
-    def scatter(pol, pth, mode, atom, amp):
-        bit = (atom >> atom_bit) & 1
-        for sigma in (0, 1):
-            cs = _POL_TO_SIGMA[pol][sigma] * amp
-            if _coupled(coupling, sigma, bit):
-                r, t = refl.r_c, t_c
-            else:
-                r, t = refl.r_nc, t_nc
-            if r != 0:
-                back = _SIGMA_TO_POL[sigma]
-                yield ("opt", "H", pth, mode, atom), cs * r * back["H"]
-                yield ("opt", "V", pth, mode, atom), cs * r * back["V"]
-            if t != 0:
-                yield ("loss", event, (sigma, bit), mode, atom), cs * t
-
-    def fn(lbl, a):
+    out = {}
+    for lbl, a in state.amps.items():
         if lbl[0] == "loss":
-            yield lbl, a
-            return
+            if a != 0j:
+                out[lbl] = out.get(lbl, 0j) + a
+            continue
         _, pol, pth, mode, atom = lbl
         if split:
-            parts = [(mode + ("m",), a * w_match, pth == path), (mode + ("x",), a * w_mis, False)]
+            parts = ((mode + ("m",), a * w_match, pth == path), (mode + ("x",), a * w_mis, False))
         else:
-            parts = [(mode, a, pth == path)]
+            parts = ((mode, a, pth == path),)
+        bit = (atom >> atom_bit) & 1
         for md, amp, hits_cavity in parts:
-            if hits_cavity:
-                yield from scatter(pol, pth, md, atom, amp)
+            if not hits_cavity:
+                pairs = [(("opt", pol, pth, md, atom), amp)]
             else:
-                yield ("opt", pol, pth, md, atom), amp
+                pairs = []
+                for sigma in (0, 1):
+                    cs = _POL_TO_SIGMA[pol][sigma] * amp
+                    r, t = seen[sigma, bit]
+                    if r != 0:
+                        back = _SIGMA_TO_POL[sigma]
+                        pairs.append((("opt", "H", pth, md, atom), cs * r * back["H"]))
+                        pairs.append((("opt", "V", pth, md, atom), cs * r * back["V"]))
+                    if t != 0:
+                        pairs.append((("loss", event, (sigma, bit), md, atom), cs * t))
+            for nl, na in pairs:
+                if na != 0j:
+                    out[nl] = out.get(nl, 0j) + na
+    return _with_amps(state, out, events=event + 1)
 
-    return _transform(state, fn, events=event + 1)
+
+def _project(state: NetworkState, kept: dict):
+    """(kept amplitudes renormalized, their probability); None for the
+    state when the probability is below HERALD_TOL."""
+    prob = sum(abs(a) ** 2 for a in kept.values())
+    if prob < HERALD_TOL:
+        return None, prob
+    scale = 1.0 / math.sqrt(prob)
+    amps = {lbl: a * scale for lbl, a in kept.items()}
+    return NetworkState(atom_dim=state.atom_dim, amps=amps, events=state.events), prob
 
 
 def herald(state: NetworkState, paths):
@@ -294,44 +301,17 @@ def herald(state: NetworkState, paths):
     Everything not detected moves into the discard scalar.
     """
     paths = set(paths)
-    kept = {
-        lbl: a for lbl, a in state.amps.items() if lbl[0] == "opt" and lbl[2] in paths
-    }
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob < HERALD_TOL:
-        return None, prob
-    scale = 1.0 / math.sqrt(prob)
-    return (
-        NetworkState(
-            atom_dim=state.atom_dim,
-            amps={lbl: a * scale for lbl, a in kept.items()},
-            discarded=0.0,
-            events=state.events,
-        ),
-        prob,
+    return _project(
+        state, {lbl: a for lbl, a in state.amps.items() if lbl[0] == "opt" and lbl[2] in paths}
     )
 
 
 def measure_polarization(state: NetworkState, path: str, pol: str):
     """Project a (heralded) state onto one polarization outcome."""
-    kept = {
-        lbl: a
-        for lbl, a in state.amps.items()
+    return _project(state, {
+        lbl: a for lbl, a in state.amps.items()
         if lbl[0] == "opt" and lbl[2] == path and lbl[1] == pol
-    }
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob < HERALD_TOL:
-        return None, prob
-    scale = 1.0 / math.sqrt(prob)
-    return (
-        NetworkState(
-            atom_dim=state.atom_dim,
-            amps={lbl: a * scale for lbl, a in kept.items()},
-            discarded=0.0,
-            events=state.events,
-        ),
-        prob,
-    )
+    })
 
 
 def fidelity_against(state: NetworkState, ideal: dict, path: str) -> float:
@@ -421,19 +401,9 @@ def run_cz_new(
         ("H", 1): -state.beta_p * state.beta,
     }
     fid = fidelity_against(heralded, ideal, out)
-    v_amp = math.sqrt(
-        sum(
-            abs(a) ** 2
-            for lbl, a in heralded.amps.items()
-            if lbl[0] == "opt" and lbl[1] == "V"
-        )
-    )
-    h_amp = math.sqrt(
-        sum(
-            abs(a) ** 2
-            for lbl, a in heralded.amps.items()
-            if lbl[0] == "opt" and lbl[1] == "H"
-        )
+    v_amp, h_amp = (  # a heralded state holds optical labels only
+        math.sqrt(sum(abs(a) ** 2 for lbl, a in heralded.amps.items() if lbl[1] == pol))
+        for pol in ("V", "H")
     )
     return GateResult(fid, p_succ, p_loss, p_h, v_amp, h_amp)
 

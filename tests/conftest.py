@@ -55,10 +55,11 @@ def edge_phases():
 
 @st.composite
 def edge_cavity_params(draw, zeta=None):
-    detuning = st.one_of(st.sampled_from([-50.0, 50.0]), st.floats(-1.0, 1.0))
+    # kappa_ratio 0.5 on resonance is critical coupling, where r_nc is 0
+    detuning = st.one_of(st.sampled_from([-50.0, 0.0, 50.0]), st.floats(-1.0, 1.0))
     return CavityParams(
         zeta=draw(unit_or_edge()) if zeta is None else zeta,
-        kappa_ratio=draw(unit_or_edge()),
+        kappa_ratio=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
         c=draw(st.one_of(st.sampled_from([0.0, 1e-6, 1e9]), st.floats(0.01, 100.0))),
         delta_c=draw(detuning),
         delta_a=draw(detuning),

@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import json
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -325,6 +326,36 @@ def test_mc_over_trials_bound_exits_2_before_drawing(tmp_path, capsys, monkeypat
     assert code == EXIT_CONFIG_ERROR
     assert "memory bound" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_grid_that_could_overflow_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    # C near 1e308 made reflection_amplitudes warn "overflow encountered
+    # in multiply" and exit 0; no grid point may be drawn now
+    def no_draws(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    argv = ["mc", "--scheme", "both", "--cmin", "1", "--cmax", "1e308", "--points", "3",
+            "--trials", "100", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert "2 C overflows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_grid_just_inside_the_overflow_bound_runs_clean(tmp_path, capsys):
+    # the bound admits C_max (1 + 14 sigma / mean) up to half the largest
+    # float: 3.7e307 at the standard 10% sigma, where the draws stay finite
+    argv = ["mc", "--scheme", "both", "--cmin", "1", "--cmax", "3.7e307", "--points", "3",
+            "--trials", "2000", "--window", "1", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "mc_old.json").read_text())["rows"]
+    assert all(np.isfinite(rows).all(axis=1))
 
 
 def _write_config(tmp_path, doc) -> str:

@@ -103,6 +103,16 @@ def test_no_herald_when_contrast_vanishes():
         atom_atom_new(TwoCavitySetup(flat, flat))
 
 
+def test_no_herald_where_the_weight_is_exactly_zero():
+    # without an atom r_c equals r_nc bit for bit: the herald weight is 0,
+    # and the closed form must refuse it before dividing
+    empty = CavityParams(c=0.0, kappa_ratio=0.9)
+    refl = reflection_lossy(empty)
+    assert refl.r_c == refl.r_nc
+    with pytest.raises(NoHeraldError):
+        atom_atom_new(TwoCavitySetup(empty, empty, 0.3, -0.2))
+
+
 @pytest.mark.parametrize("kappa_ratio", [1e-6, 2e-6])
 def test_no_herald_agrees_with_oracle(kappa_ratio):
     # nearly empty cavities put the herald probability (~0.76e-12 at

@@ -2,11 +2,14 @@
 invariance of the mismatched mode, and agreement with the closed forms
 it was built to check."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavsim import CavityParams, JointState, NoHeraldError, ReflectionPair, reflection_lossy
 from cavsim.analytic import cz_new_from_reflections, cz_old_from_reflections
@@ -195,6 +198,14 @@ def test_remote_chain_matches_closed_form():
         assert abs(res.prob_v + res.prob_h - res.herald_probability) < 1e-12
 
 
+def _assert_agrees(closed, net):
+    assert closed.no_herald == net.no_herald
+    assert abs(closed.success_probability - net.success_probability) <= ORACLE_AGREEMENT_TOL
+    assert abs(closed.p_loss - net.p_loss) <= ORACLE_AGREEMENT_TOL
+    if not closed.no_herald:
+        assert abs(closed.fidelity - net.fidelity) <= ORACLE_AGREEMENT_TOL
+
+
 # 400 draws reach v_attenuation = 0 at c = 1e-6, where success is ~1e-12:
 # the new scheme's success written as 1 - p_loss - raw_h fails there
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -208,18 +219,79 @@ def test_remote_chain_matches_closed_form():
 def test_gates_match_network_on_the_edges(p, phi, att, photon, atom):
     refl = reflection_lossy(p)
     s = JointState(*photon, *atom)
-    for closed, net in (
-        (
-            cz_new_from_reflections(refl, p.zeta, s, phi=phi, v_attenuation=att),
-            run_cz_new(refl, p.zeta, s, phi=phi, v_attenuation=att),
-        ),
-        (cz_old_from_reflections(refl, p.zeta, s), run_cz_old(refl, p.zeta, s)),
-    ):
-        assert closed.no_herald == net.no_herald
-        assert abs(closed.success_probability - net.success_probability) <= ORACLE_AGREEMENT_TOL
-        assert abs(closed.p_loss - net.p_loss) <= ORACLE_AGREEMENT_TOL
-        if not closed.no_herald:
-            assert abs(closed.fidelity - net.fidelity) <= ORACLE_AGREEMENT_TOL
+    _assert_agrees(
+        cz_new_from_reflections(refl, p.zeta, s, phi=phi, v_attenuation=att),
+        run_cz_new(refl, p.zeta, s, phi=phi, v_attenuation=att),
+    )
+    _assert_agrees(cz_old_from_reflections(refl, p.zeta, s), run_cz_old(refl, p.zeta, s))
+
+
+def _near_threshold(s0: float, s1: float, w: float) -> float:
+    """The x in [0, 1] where a success s0 + (s1 - s0) x, linear in x, is
+    a target log-spaced by w in [0, 1] from max(its lowest value,
+    2 HERALD_TOL) to 1e-6; clipped to [0, 1] where it cannot get there."""
+    if s1 == s0:
+        return w
+    lo = max(min(s0, s1), 2.0 * HERALD_TOL)
+    target = lo * (1e-6 / lo) ** w
+    return min(max((target - s0) / (s1 - s0), 0.0), 1.0)
+
+
+def _qubit(population: float, phase: float) -> tuple:
+    return math.sqrt(1.0 - population), cmath.exp(1j * phase) * math.sqrt(population)
+
+
+# The states are constructed, not sampled: success is linear in the
+# photon's b = |beta_p|^2 (new scheme) and in u = |beta_p|^2 |beta_a|^2
+# (old scheme), so each draw solves for a success between HERALD_TOL and
+# 1e-6. Each test fails with its scheme's success written as 1 - p_loss
+# (minus raw_h), which cancels there.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    p=edge_cavity_params(),
+    phi=edge_phases(),
+    att=st.sampled_from([0.0, 1e-3]),
+    w=st.floats(0.0, 1.0),
+    photon_phase=edge_phases(),
+    atom=bloch_pairs(),
+)
+def test_new_gate_matches_network_near_the_herald_threshold(p, phi, att, w, photon_phase, atom):
+    refl = reflection_lossy(p)
+    eps = p.zeta * abs(0.5 * (refl.r_c - refl.r_nc)) ** 2
+    b = _near_threshold(att * att, eps, w)  # success = att^2 (1 - b) + eps b
+    s = JointState(*_qubit(b, photon_phase), *atom)
+    _assert_agrees(
+        cz_new_from_reflections(refl, p.zeta, s, phi=phi, v_attenuation=att),
+        run_cz_new(refl, p.zeta, s, phi=phi, v_attenuation=att),
+    )
+
+
+# The old scheme's success is tiny with a heralded fidelity of order 1
+# only where both reflections are small: zeta = 1, c near 0 and critical
+# coupling on resonance. Three independent edges rarely coincide, so half
+# the draws are put at critical coupling on resonance.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    p=edge_cavity_params(zeta=1.0),
+    critical=st.booleans(),
+    w=st.floats(0.0, 1.0),
+    split=st.floats(0.0, 1.0),
+    photon_phase=edge_phases(),
+    atom_phase=edge_phases(),
+)
+def test_old_gate_matches_network_near_the_herald_threshold(
+    p, critical, w, split, photon_phase, atom_phase
+):
+    if critical:
+        p = replace(p, kappa_ratio=0.5, delta_c=0.0)
+    refl = reflection_lossy(p)
+    s0 = abs(refl.r_nc) ** 2
+    s1 = abs(refl.r_c) ** 2
+    u = _near_threshold(s0, s1, w)  # success = s0 (1 - u) + s1 u
+    bp = u**split  # |beta_p|^2 in [u, 1], so |beta_a|^2 = u / bp is too
+    ba = min(u / bp, 1.0) if bp > 0.0 else 0.0
+    s = JointState(*_qubit(bp, photon_phase), *_qubit(ba, atom_phase))
+    _assert_agrees(cz_old_from_reflections(refl, p.zeta, s), run_cz_old(refl, p.zeta, s))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
