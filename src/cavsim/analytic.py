@@ -106,8 +106,16 @@ def _reduce_phase(phi: float) -> float:
     return math.remainder(float(phi), math.tau)
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+# num / success exceeds 1 only by rounding (at most 2.2e-16 in a 20000-point
+# edge scan); that is clamped, and an overshoot above this tolerance raises.
+FIDELITY_OVERSHOOT_TOL = 1e-12
+
+
+def _heralded_fidelity(num, success) -> float:
+    fid = float(num / success)
+    if fid > 1.0 + FIDELITY_OVERSHOOT_TOL:
+        raise RuntimeError(f"heralded fidelity {fid!r} exceeds 1 beyond rounding")
+    return min(fid, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +172,7 @@ def cz_new_from_reflections(
     v_amp = math.sqrt((v_attenuation**2) * a2 / success)
     h_amp = math.sqrt(zeta * abs(g) ** 2 * b2 / success)
     return GateResult(
-        fidelity=_clamp01(float(num / success)),
+        fidelity=_heralded_fidelity(num, success),
         success_probability=float(success),
         p_loss=float(p_loss),
         p_h_reject=p_h,
@@ -221,7 +229,7 @@ def cz_old_from_reflections(
     if success < HERALD_TOL:
         return GateResult(None, float(max(success, 0.0)), float(p_loss), 0.0, no_herald=True)
     return GateResult(
-        fidelity=_clamp01(float(num / success)),
+        fidelity=_heralded_fidelity(num, success),
         success_probability=float(success),
         p_loss=float(p_loss),
         p_h_reject=0.0,

@@ -14,7 +14,7 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analytic import HERALD_TOL, NoHeraldError, _reduce_phase
+from .analytic import HERALD_TOL, NoHeraldError, _heralded_fidelity, _reduce_phase
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
 __all__ = [
@@ -160,7 +160,7 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
     if survived < HERALD_TOL:
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2
-    return TwoAtomEstimate(fidelity=float(min(num / survived, 1.0)), p_loss=float(p_loss))
+    return TwoAtomEstimate(fidelity=_heralded_fidelity(num, survived), p_loss=float(p_loss))
 
 
 def two_atoms_one_cavity(p: CavityParams) -> TwoAtomEstimate:

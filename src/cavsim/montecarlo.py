@@ -55,11 +55,14 @@ _SCHEMES = ("new", "old")
 MAX_TRIALS_IN_FLIGHT = 4_000_000
 
 # numpy's ziggurat standard normal stays below 13.71 in magnitude: its
-# tail draw is r - ln(1 - U) / r with r = 3.654 and U <= 1 - 2**-53. A C
-# grid is refused if C_max (1 + _Z_MAX sigma / mean) could overflow the
-# 2 C of reflection_amplitudes.
+# tail draw is r - ln(1 - U) / r with r = 3.654 and U <= 1 - 2**-53. So
+# no draw exceeds top = |mean| + _Z_MAX sigma in magnitude, or C_max (1 +
+# _Z_MAX sigma / mean) for C along the grid. A run is refused if its tops
+# could overflow a kappa_ratio draw, phi2 - phi1, or, in
+# reflection_amplitudes, 2 C, the denominator (i delta_c + 1)(i delta_a
+# + 1) + 2 C or the numerator 2 kappa_ratio (i delta_a + 1).
 _Z_MAX = 14.0
-_C_LIMIT = sys.float_info.max / 2.0
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,11 @@ _DRAWN = tuple(
 ) + ("phi1", "phi2")
 
 
+def _top(spec: FluctuationSpec, name: str) -> float:
+    """The largest magnitude a draw of `name` can reach."""
+    return abs(getattr(spec, name + "_mean")) + _Z_MAX * getattr(spec, name + "_sigma")
+
+
 def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
     """Infidelity statistics of each scheme in `schemes` at one grid point.
 
@@ -297,8 +305,8 @@ def mc_infidelity_curve(
     scheme "new" or "old" returns one SweepResult; "both" returns the
     (new, old) pair from a single pass over the grid, each curve equal
     bit for bit to its own single-scheme call. A run whose trials times
-    workers exceeds MAX_TRIALS_IN_FLIGHT, or whose C draws could overflow
-    2 C, raises ValueError before any draw.
+    workers exceeds MAX_TRIALS_IN_FLIGHT, or whose draws could overflow
+    (see _Z_MAX), raises ValueError before any draw.
     """
     import numpy as np
 
@@ -312,11 +320,18 @@ def mc_infidelity_curve(
         raise ValueError("cooperativity grid values must be positive")
     for k in (1, 2):
         rel = getattr(spec, f"cavity{k}_c_sigma") / getattr(spec, f"cavity{k}_c_mean")
-        if not float(grid.max()) * (1.0 + _Z_MAX * rel) <= _C_LIMIT:
+        c_top = float(grid.max()) * (1.0 + _Z_MAX * rel)
+        dc, da, kr = (_top(spec, f"cavity{k}_{p}") for p in ("delta_c", "delta_a", "kappa_ratio"))
+        if not (2.0 * c_top + dc * da + 1.0 < _FLOAT_MAX and 2.0 * da < _FLOAT_MAX):
             raise ValueError(
                 f"cooperativity grid up to {float(grid.max()):g} with cavity{k} C sigma/mean "
-                f"{rel:g} can draw C above {_C_LIMIT:g}, where 2 C overflows"
+                f"{rel:g} and |delta_c|, |delta_a| up to {dc:g}, {da:g} can draw values where "
+                "2 C + delta_c delta_a, 2 delta_a or 2 C overflows"
             )
+        if not math.isfinite(kr):
+            raise ValueError(f"cavity{k}_kappa_ratio mean and sigma can draw an infinity")
+    if not math.isfinite(_top(spec, "phi1") + _top(spec, "phi2")):
+        raise ValueError("phi1 and phi2 means and sigmas can draw phases whose difference overflows")
 
     points = list(enumerate(grid))
     workers = min(_n_threads(), len(points))

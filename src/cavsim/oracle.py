@@ -1,19 +1,19 @@
 """Brute-force optical-network oracle.
 
 Every gate network is simulated by explicit amplitude bookkeeping over
-basis labels
+optical basis labels
 
-    ("opt", pol, path, mode, atom)            pol in {"H", "V"}
-    ("loss", event, branch, mode, atom)       one label per loss branch
+    (pol, path, mode, atom)            pol in {"H", "V"}
 
 where `mode` is a tuple of matched/mismatched tags (one appended per
 mode-mismatch split) and `atom` indexes the computational basis of all
-atoms involved. Loss labels are orthogonal environment states: each
-scattering event opens four of them (sigma+/- crossed with the two
-atomic levels), an attenuator opens one per optical component. Loss
-amplitudes never re-enter an optical path, and the squared norm of the
-full vector plus the accumulated discard stays at 1 after every
-element; runners check this at each step.
+atoms involved. Lost light leaves the network: the two lossy elements
+(attenuator and cavity scattering) sum the amplitudes they remove
+coherently per environment branch (sigma+/- crossed with the atomic
+level for a scattering event, one per optical component for an
+attenuator) and add their probability to the state's `discarded`. Lost
+amplitudes never re-enter a path, so nothing else needs them. Every
+element checks that the optical norm plus `discarded` stays at 1.
 
 Each element is one direct loop (a dict comprehension where it only
 relabels or rephases) over the amplitude dict. It builds the new dict
@@ -72,22 +72,14 @@ _SIGMA_TO_POL = ({"H": _SQRT_HALF, "V": _SQRT_HALF}, {"H": _SQRT_HALF, "V": -_SQ
 
 @dataclass
 class NetworkState:
-    """Amplitude vector over the labels above plus a discard scalar."""
+    """Optical amplitudes over the labels above plus the lost probability."""
 
-    atom_dim: int
     amps: dict
     discarded: float = 0.0
-    events: int = 0
 
     def norm_sq(self) -> float:
         # a list, not a generator: the same sum in the same order, faster
         return sum([abs(a) ** 2 for a in self.amps.values()])
-
-    def optical_norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for lbl, a in self.amps.items() if lbl[0] == "opt")
-
-    def loss_norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for lbl, a in self.amps.items() if lbl[0] == "loss")
 
     def conservation_defect(self) -> float:
         return abs(self.norm_sq() + self.discarded - 1.0)
@@ -121,26 +113,23 @@ def prepare_photon_atom(photon: dict, atom) -> NetworkState:
         for idx, av in enumerate(atom):
             a = complex(pv) * complex(av)
             if a != 0j:
-                amps[("opt", pol, "in", (), idx)] = a
-    return NetworkState(atom_dim=dim, amps=amps)
+                amps[(pol, "in", (), idx)] = a
+    return NetworkState(amps)
 
 
-def _with_amps(state: NetworkState, amps: dict, events: int | None = None) -> NetworkState:
-    return NetworkState(
-        atom_dim=state.atom_dim,
-        amps=amps,
-        discarded=state.discarded,
-        events=state.events if events is None else events,
-    )
+def _with_amps(state: NetworkState, amps: dict, lost=()) -> NetworkState:
+    """An element's output, checked: `amps`, and the input's discard plus
+    the probability of the amplitudes the element removed (`lost`)."""
+    return _check(NetworkState(amps, state.discarded + sum(abs(a) ** 2 for a in lost)))
 
 
 def apply_pbs(state: NetworkState, in_path: str, h_path: str, v_path: str) -> NetworkState:
     """Route H on in_path to h_path and V to v_path."""
     out = {}
     for lbl, a in state.amps.items():
-        if lbl[0] == "opt" and lbl[2] == in_path:
-            _, pol, _, mode, atom = lbl
-            lbl = ("opt", pol, h_path if pol == "H" else v_path, mode, atom)
+        if lbl[1] == in_path:
+            pol, _, mode, atom = lbl
+            lbl = (pol, h_path if pol == "H" else v_path, mode, atom)
         if a != 0j:  # h_path or v_path may already carry the label
             out[lbl] = out.get(lbl, 0j) + a
     return _with_amps(state, out)
@@ -149,8 +138,7 @@ def apply_pbs(state: NetworkState, in_path: str, h_path: str, v_path: str) -> Ne
 def apply_hwp(state: NetworkState, path: str) -> NetworkState:
     """Swap H and V on one path."""
     return _with_amps(state, {
-        ("opt", "V" if lbl[1] == "H" else "H", path, lbl[3], lbl[4])
-        if lbl[0] == "opt" and lbl[2] == path else lbl: a
+        ("V" if lbl[0] == "H" else "H", path, lbl[2], lbl[3]) if lbl[1] == path else lbl: a
         for lbl, a in state.amps.items() if a != 0j
     })
 
@@ -159,12 +147,12 @@ def apply_qwp(state: NetworkState, path: str) -> NetworkState:
     """H -> (V - H)/sqrt(2), V -> (V + H)/sqrt(2) on one path."""
     out = {}
     for lbl, a in state.amps.items():
-        if lbl[0] == "opt" and lbl[2] == path:
-            _, pol, _, mode, atom = lbl
+        if lbl[1] == path:
+            pol, _, mode, atom = lbl
             sign = -1.0 if pol == "H" else 1.0
             for nl, na in (
-                (("opt", "H", path, mode, atom), a * sign * _SQRT_HALF),
-                (("opt", "V", path, mode, atom), a * _SQRT_HALF),
+                (("H", path, mode, atom), a * sign * _SQRT_HALF),
+                (("V", path, mode, atom), a * _SQRT_HALF),
             ):
                 if na != 0j:
                     out[nl] = out.get(nl, 0j) + na
@@ -174,31 +162,27 @@ def apply_qwp(state: NetworkState, path: str) -> NetworkState:
 
 
 def apply_phase(state: NetworkState, path: str, phi: float) -> NetworkState:
-    """Multiply every optical amplitude on path by exp(i phi)."""
+    """Multiply every amplitude on path by exp(i phi)."""
     factor = cmath.exp(1j * _reduce_phase(phi))
     return _with_amps(state, {
-        lbl: a * factor if lbl[0] == "opt" and lbl[2] == path else a
-        for lbl, a in state.amps.items() if a != 0j
+        lbl: a * factor if lbl[1] == path else a for lbl, a in state.amps.items() if a != 0j
     })
 
 
 def apply_attenuator(state: NetworkState, path: str, amplitude: float) -> NetworkState:
-    """Attenuate one path, routing the removed weight to loss labels."""
+    """Attenuate one path; the removed weight is discarded."""
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("attenuator amplitude must lie in [0, 1]")
-    event = state.events
     t = math.sqrt(max(0.0, 1.0 - amplitude * amplitude))
     out = {}
+    lost = []  # each optical component on the path has its own loss branch
     for lbl, a in state.amps.items():
-        if lbl[0] == "opt" and lbl[2] == path:
-            _, pol, _, mode, atom = lbl
-            pairs = ((lbl, a * amplitude), (("loss", event, ("att", pol), mode, atom), a * t))
-        else:
-            pairs = ((lbl, a),)
-        for nl, na in pairs:
-            if na != 0j:
-                out[nl] = out.get(nl, 0j) + na
-    return _with_amps(state, out, events=event + 1)
+        if lbl[1] == path:
+            lost.append(a * t)
+            a *= amplitude
+        if a != 0j:
+            out[lbl] = a
+    return _with_amps(state, out, lost)
 
 
 def _coupled(coupling: str, sigma: int, bit: int) -> bool:
@@ -226,7 +210,8 @@ def apply_scattering(
     sqrt(1-zeta) * exp(i theta)); only the matched part on `path`
     scatters, the mismatched part reflects unchanged. Scattering sends
     each sigma component to r * sigma plus sqrt(1-|r|^2) into its own
-    loss branch, with r picked by the coupling map:
+    loss branch (sigma, mode, atom), which H and V feed coherently and
+    which is discarded; r is picked by the coupling map:
 
     * "degenerate": sigma+ with atom |0> and sigma- with atom |1> see
       r_c; the cross combinations see r_nc (the MZI gate's cavity).
@@ -246,17 +231,12 @@ def apply_scattering(
     }
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
-    event = state.events
     split = zeta < 1.0
     w_match = math.sqrt(zeta)
     w_mis = math.sqrt(1.0 - zeta) * cmath.exp(1j * _reduce_phase(theta))
     out = {}
-    for lbl, a in state.amps.items():
-        if lbl[0] == "loss":
-            if a != 0j:
-                out[lbl] = out.get(lbl, 0j) + a
-            continue
-        _, pol, pth, mode, atom = lbl
+    lost = {}
+    for (pol, pth, mode, atom), a in state.amps.items():
         if split:
             parts = ((mode + ("m",), a * w_match, pth == path), (mode + ("x",), a * w_mis, False))
         else:
@@ -264,7 +244,7 @@ def apply_scattering(
         bit = (atom >> atom_bit) & 1
         for md, amp, hits_cavity in parts:
             if not hits_cavity:
-                pairs = [(("opt", pol, pth, md, atom), amp)]
+                pairs = [((pol, pth, md, atom), amp)]
             else:
                 pairs = []
                 for sigma in (0, 1):
@@ -272,45 +252,41 @@ def apply_scattering(
                     r, t = seen[sigma, bit]
                     if r != 0:
                         back = _SIGMA_TO_POL[sigma]
-                        pairs.append((("opt", "H", pth, md, atom), cs * r * back["H"]))
-                        pairs.append((("opt", "V", pth, md, atom), cs * r * back["V"]))
-                    if t != 0:
-                        pairs.append((("loss", event, (sigma, bit), md, atom), cs * t))
+                        pairs.append((("H", pth, md, atom), cs * r * back["H"]))
+                        pairs.append((("V", pth, md, atom), cs * r * back["V"]))
+                    key = (sigma, md, atom)
+                    lost[key] = lost.get(key, 0j) + cs * t
             for nl, na in pairs:
                 if na != 0j:
                     out[nl] = out.get(nl, 0j) + na
-    return _with_amps(state, out, events=event + 1)
+    return _with_amps(state, out, lost.values())
 
 
-def _project(state: NetworkState, kept: dict):
+def _project(kept: dict):
     """(kept amplitudes renormalized, their probability); None for the
     state when the probability is below HERALD_TOL."""
     prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < HERALD_TOL:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
-    amps = {lbl: a * scale for lbl, a in kept.items()}
-    return NetworkState(atom_dim=state.atom_dim, amps=amps, events=state.events), prob
+    return NetworkState({lbl: a * scale for lbl, a in kept.items()}), prob
 
 
 def herald(state: NetworkState, paths):
-    """Project onto the optical amplitudes on the given paths.
+    """Detect the photon on the given paths.
 
-    Returns (renormalized state, detection probability); the state is
-    None when the probability is below HERALD_TOL (no herald).
-    Everything not detected moves into the discard scalar.
+    Returns (the detected amplitudes renormalized, their probability);
+    the state is None when the probability is below HERALD_TOL (no
+    herald). The returned state starts with nothing discarded.
     """
     paths = set(paths)
-    return _project(
-        state, {lbl: a for lbl, a in state.amps.items() if lbl[0] == "opt" and lbl[2] in paths}
-    )
+    return _project({lbl: a for lbl, a in state.amps.items() if lbl[1] in paths})
 
 
 def measure_polarization(state: NetworkState, path: str, pol: str):
     """Project a (heralded) state onto one polarization outcome."""
-    return _project(state, {
-        lbl: a for lbl, a in state.amps.items()
-        if lbl[0] == "opt" and lbl[2] == path and lbl[1] == pol
+    return _project({
+        lbl: a for lbl, a in state.amps.items() if lbl[1] == path and lbl[0] == pol
     })
 
 
@@ -323,10 +299,9 @@ def fidelity_against(state: NetworkState, ideal: dict, path: str) -> float:
     relative phase.
     """
     by_mode: dict = {}
-    for lbl, a in state.amps.items():
-        if lbl[0] != "opt" or lbl[2] != path:
+    for (pol, pth, mode, atom), a in state.amps.items():
+        if pth != path:
             continue
-        _, pol, _, mode, atom = lbl
         ref = ideal.get((pol, atom))
         if ref is not None:
             by_mode[mode] = by_mode.get(mode, 0j) + ref.conjugate() * a
@@ -360,15 +335,15 @@ def _cz_new_network(
     down = prefix + "down"
     rej = prefix + "rej"
     out = prefix + "out"
-    st = _check(apply_pbs(state, in_path, cav, byp))
-    st = _check(apply_phase(st, byp, phi))
+    st = apply_pbs(state, in_path, cav, byp)
+    st = apply_phase(st, byp, phi)
     if v_attenuation != 1.0:
-        st = _check(apply_attenuator(st, byp, v_attenuation))
-    st = _check(apply_scattering(st, cav, refl, zeta, theta, "degenerate", atom_bit))
-    st = _check(apply_pbs(st, cav, rej, down))
-    st = _check(apply_hwp(st, down))
-    st = _check(apply_pbs(st, down, out, prefix + "stray_v"))
-    st = _check(apply_pbs(st, byp, prefix + "stray_h", out))
+        st = apply_attenuator(st, byp, v_attenuation)
+    st = apply_scattering(st, cav, refl, zeta, theta, "degenerate", atom_bit)
+    st = apply_pbs(st, cav, rej, down)
+    st = apply_hwp(st, down)
+    st = apply_pbs(st, down, out, prefix + "stray_v")
+    st = apply_pbs(st, byp, prefix + "stray_h", out)
     return st, out, rej
 
 
@@ -385,10 +360,8 @@ def run_cz_new(
         {"H": state.beta_p, "V": state.alpha_p}, (state.alpha, state.beta)
     )
     st, out, rej = _cz_new_network(st, "in", "", refl, zeta, theta, phi, 0, v_attenuation)
-    p_loss = st.loss_norm_sq()
-    p_rej = sum(
-        abs(a) ** 2 for lbl, a in st.amps.items() if lbl[0] == "opt" and lbl[2] == rej
-    )
+    p_loss = st.discarded
+    p_rej = sum(abs(a) ** 2 for lbl, a in st.amps.items() if lbl[1] == rej)
     survived = 1.0 - p_loss
     p_h = p_rej / survived if survived > HERALD_TOL else 0.0
     heralded, p_succ = herald(st, {out})
@@ -401,8 +374,8 @@ def run_cz_new(
         ("H", 1): -state.beta_p * state.beta,
     }
     fid = fidelity_against(heralded, ideal, out)
-    v_amp, h_amp = (  # a heralded state holds optical labels only
-        math.sqrt(sum(abs(a) ** 2 for lbl, a in heralded.amps.items() if lbl[1] == pol))
+    v_amp, h_amp = (
+        math.sqrt(sum(abs(a) ** 2 for lbl, a in heralded.amps.items() if lbl[0] == pol))
         for pol in ("V", "H")
     )
     return GateResult(fid, p_succ, p_loss, p_h, v_amp, h_amp)
@@ -419,8 +392,8 @@ def run_cz_old(
     h0 = (state.alpha_p + state.beta_p) * _SQRT_HALF
     v0 = (state.beta_p - state.alpha_p) * _SQRT_HALF
     st = prepare_photon_atom({"H": h0, "V": v0}, (state.alpha, state.beta))
-    st = _check(apply_scattering(st, "in", refl, zeta, theta, "single", 0))
-    p_loss = st.loss_norm_sq()
+    st = apply_scattering(st, "in", refl, zeta, theta, "single", 0)
+    p_loss = st.discarded
     heralded, p_succ = herald(st, {"in"})
     if heralded is None:
         return GateResult(None, p_succ, p_loss, 0.0, no_herald=True)
@@ -472,9 +445,9 @@ def run_remote_new(
     atoms = (half, -half, half, -half)  # (|0>+|1>)(|0>-|1>)/2
     st = prepare_photon_atom({"H": _SQRT_HALF, "V": _SQRT_HALF}, atoms)
     st, out1, _ = _cz_new_network(st, "in", "n1_", refl_1, 1.0, 0.0, phi_1, 1, 1.0)
-    st = _check(apply_hwp(st, out1))
+    st = apply_hwp(st, out1)
     st, out2, _ = _cz_new_network(st, out1, "n2_", refl_2, 1.0, 0.0, phi_2, 0, 1.0)
-    st = _check(apply_qwp(st, out2))
+    st = apply_qwp(st, out2)
     heralded, p_det = herald(st, {out2})
     if heralded is None:
         return RemoteEntangleResult(None, None, 0.0, 0.0, p_det, no_herald=True)

@@ -165,6 +165,40 @@ def test_no_herald_flag_old():
     assert res.p_loss == pytest.approx(1.0, abs=1e-15)
 
 
+def _scaled_numerator(core, factor):
+    def patched(*args):
+        num, success, *rest = core(*args)
+        return (factor * success, success, *rest)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "core, gate",
+    [("_new_core", cz_new_from_reflections), ("_old_core", cz_old_from_reflections)],
+)
+def test_fidelity_above_one_beyond_rounding_raises(monkeypatch, core, gate):
+    # a numerator 1% above the success is a wrong formula, not rounding:
+    # it raises instead of being clamped to a fidelity of 1
+    refl = reflection_lossy(SINGLE_ATOM_POINT)
+    kernel = getattr(analytic, core)
+    monkeypatch.setattr(analytic, core, _scaled_numerator(kernel, 1.01))
+    with pytest.raises(RuntimeError, match="exceeds 1 beyond rounding"):
+        gate(refl, 0.92, EQUAL)
+    # an overshoot within FIDELITY_OVERSHOOT_TOL is rounding and clamps
+    monkeypatch.setattr(analytic, core, _scaled_numerator(kernel, 1 + 5e-13))
+    assert gate(refl, 0.92, EQUAL).fidelity == 1.0
+
+
+def test_heralded_fidelity_bound():
+    # the one bound both gates and two_atoms_one_cavity divide through
+    assert analytic.FIDELITY_OVERSHOOT_TOL == 1e-12
+    assert analytic._heralded_fidelity(1.0 + 2.2e-16, 1.0) == 1.0
+    assert analytic._heralded_fidelity(0.25, 0.5) == 0.5
+    with pytest.raises(RuntimeError):
+        analytic._heralded_fidelity(1.01, 1.0)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         JointState(1.0, 1.0, 1.0, 0.0)  # photon not normalized

@@ -358,6 +358,66 @@ def test_mc_grid_just_inside_the_overflow_bound_runs_clean(tmp_path, capsys):
     assert all(np.isfinite(rows).all(axis=1))
 
 
+@pytest.mark.parametrize(
+    "spec, cmax, message",
+    [
+        # a delta_c sigma of 1e308 warned "overflow encountered in multiply"
+        # and counted the NaN trials as skipped_no_herald
+        ({"cavity1_delta_c_sigma": 1e308}, "10", "cavity1 C sigma/mean 0.1 and |delta_c|, "
+         "|delta_a| up to inf, 0.7"),
+        # within the C bound, but 2 C + delta_c delta_a overflowed in add
+        ({"cavity1_c_sigma": 0.0, "cavity2_c_sigma": 0.0, "cavity1_delta_c_mean": 1e154,
+          "cavity1_delta_a_mean": -1e154}, "8.988e307", "2 C + delta_c delta_a, 2 delta_a"),
+        # 2 kappa_ratio delta_a overflowed in multiply
+        ({"cavity2_delta_a_mean": 1e308}, "10", "cavity2 C sigma/mean 0.1 and |delta_c|, "
+         "|delta_a| up to 0.7, 1e+308"),
+        ({"cavity2_kappa_ratio_sigma": 1e308}, "10", "cavity2_kappa_ratio"),
+        # phi2 - phi1 overflowed in subtract
+        ({"phi1_mean": 1.7e308, "phi2_mean": -1.7e308}, "10", "difference overflows"),
+    ],
+    ids=["delta-c-sigma", "c-and-detunings", "delta-a", "kappa-ratio", "phases"],
+)
+def test_mc_draws_that_could_overflow_exit_2_before_drawing(
+    tmp_path, capsys, monkeypatch, spec, cmax, message
+):
+    def no_draws(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    path = _write_config(tmp_path, spec)
+    out = tmp_path / "out"
+    argv = ["mc", "--scheme", "both", "--cmax", cmax, "--points", "3", "--trials", "100",
+            "--spec", path, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"cavity2_delta_c_mean": 1e154, "cavity2_delta_a_mean": -1.7e154},
+        {"cavity1_delta_a_mean": 8.9e307},
+        {"phi1_mean": 8.9e307, "phi2_mean": -8.9e307},
+    ],
+    ids=["delta-c-delta-a", "delta-a", "phases"],
+)
+def test_mc_draws_just_inside_the_overflow_bound_run_clean(tmp_path, capsys, spec):
+    path = _write_config(tmp_path, spec)
+    argv = ["mc", "--scheme", "both", "--points", "3", "--trials", "2000", "--window", "1",
+            "--spec", path, "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    capsys.readouterr()
+    for name in ("mc_new.json", "mc_old.json"):
+        rows = json.loads((tmp_path / name).read_text())["rows"]
+        assert all(np.isfinite(rows).all(axis=1))
+
+
 def _write_config(tmp_path, doc) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

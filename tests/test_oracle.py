@@ -75,23 +75,23 @@ def test_waveplates_square_correctly():
     # is a Hermitian reflection, so it squares to the identity too
     st = prepare_photon_atom({"H": 0.6, "V": 0.8}, (1.0, 0.0))
     twice = apply_hwp(apply_hwp(st, "in"), "in")
-    assert abs(twice.amps[("opt", "H", "in", (), 0)] - 0.6) < 1e-15
-    assert abs(twice.amps[("opt", "V", "in", (), 0)] - 0.8) < 1e-15
+    assert abs(twice.amps[("H", "in", (), 0)] - 0.6) < 1e-15
+    assert abs(twice.amps[("V", "in", (), 0)] - 0.8) < 1e-15
     q1 = apply_qwp(st, "in")
     root_half = math.sqrt(0.5)
-    assert abs(q1.amps[("opt", "H", "in", (), 0)] - 0.2 * root_half) < 1e-15
-    assert abs(q1.amps[("opt", "V", "in", (), 0)] - 1.4 * root_half) < 1e-15
+    assert abs(q1.amps[("H", "in", (), 0)] - 0.2 * root_half) < 1e-15
+    assert abs(q1.amps[("V", "in", (), 0)] - 1.4 * root_half) < 1e-15
     q2 = apply_qwp(q1, "in")
-    assert abs(q2.amps[("opt", "H", "in", (), 0)] - 0.6) < 1e-14
-    assert abs(q2.amps[("opt", "V", "in", (), 0)] - 0.8) < 1e-14
+    assert abs(q2.amps[("H", "in", (), 0)] - 0.6) < 1e-14
+    assert abs(q2.amps[("V", "in", (), 0)] - 0.8) < 1e-14
 
 
 def test_attenuator_bookkeeping():
     st = prepare_photon_atom({"H": 0.6, "V": 0.8}, (1.0, 0.0))
     att = apply_attenuator(st, "in", 0.5)
     _check(att)
-    assert att.optical_norm_sq() == pytest.approx(0.25, abs=1e-12)
-    assert att.loss_norm_sq() == pytest.approx(0.75, abs=1e-12)
+    assert att.norm_sq() == pytest.approx(0.25, abs=1e-12)
+    assert att.discarded == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
         apply_attenuator(st, "in", 1.5)
 
@@ -105,16 +105,16 @@ def test_scattering_conserves_probability():
         st = prepare_photon_atom({"H": s.beta_p, "V": s.alpha_p}, (s.alpha, s.beta))
         out = apply_scattering(st, "in", refl, zeta=p.zeta, theta=float(rng.uniform(-3, 3)))
         _check(out)
-        assert abs(out.norm_sq() - 1.0) < 1e-12
+        assert abs(out.norm_sq() + out.discarded - 1.0) < 1e-12
 
 
 def test_ideal_scattering_is_lossless():
     st = prepare_photon_atom({"H": 1.0}, (0.6, 0.8))
     out = apply_scattering(st, "in", ReflectionPair.ideal())
-    assert out.loss_norm_sq() == 0.0
+    assert out.discarded == 0.0
     # sigma+|0> and sigma-|1> pick up +1, the cross terms -1:
     # H(0.6|0> + 0.8|1>) -> 0.8 V ... check the flip happened
-    assert abs(out.amps[("opt", "V", "in", (), 1)] + 0.8) < 1e-12
+    assert abs(out.amps[("V", "in", (), 1)] + 0.8) < 1e-12
 
 
 def test_mismatch_phase_is_unobservable():
@@ -343,30 +343,49 @@ def test_herald_and_measurement():
     assert none_kept is None and p0 == 0.0
     projected, pv = measure_polarization(st, "v_arm", "V")
     assert pv == pytest.approx(0.64, abs=1e-12)
-    assert projected.optical_norm_sq() == pytest.approx(1.0, abs=1e-12)
+    assert projected.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_against_traces_mode_sectors():
     # equal-weight coherent vs incoherent split across spatial sectors:
     # same per-sector overlaps, added as probabilities
     amps = {
-        ("opt", "H", "out", ("m",), 0): complex(math.sqrt(0.5)),
-        ("opt", "H", "out", ("x",), 0): complex(-math.sqrt(0.5)),
+        ("H", "out", ("m",), 0): complex(math.sqrt(0.5)),
+        ("H", "out", ("x",), 0): complex(-math.sqrt(0.5)),
     }
-    st = NetworkState(atom_dim=2, amps=amps)
+    st = NetworkState(amps=amps)
     fid = fidelity_against(st, {("H", 0): 1.0}, "out")
     assert fid == pytest.approx(1.0, abs=1e-12)
     # a relative sign between sectors must not matter
     amps2 = dict(amps)
-    amps2[("opt", "H", "out", ("x",), 0)] = complex(math.sqrt(0.5))
-    fid2 = fidelity_against(NetworkState(atom_dim=2, amps=amps2), {("H", 0): 1.0}, "out")
+    amps2[("H", "out", ("x",), 0)] = complex(math.sqrt(0.5))
+    fid2 = fidelity_against(NetworkState(amps=amps2), {("H", 0): 1.0}, "out")
     assert fid2 == pytest.approx(fid, abs=1e-12)
 
 
 def test_conservation_check_raises():
-    st = NetworkState(atom_dim=2, amps={("opt", "H", "in", (), 0): 0.5 + 0j})
+    st = NetworkState(amps={("H", "in", (), 0): 0.5 + 0j})
     with pytest.raises(RuntimeError):
         _check(st)
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        lambda s: apply_pbs(s, "in", "a", "b"),
+        lambda s: apply_hwp(s, "in"),
+        lambda s: apply_qwp(s, "in"),
+        lambda s: apply_phase(s, "in", 0.3),
+        lambda s: apply_attenuator(s, "in", 0.5),
+        lambda s: apply_scattering(s, "in", ReflectionPair.ideal()),
+    ],
+    ids=["pbs", "hwp", "qwp", "phase", "attenuator", "scattering"],
+)
+def test_every_element_checks_conservation(element):
+    # optical norm 0.25 plus nothing discarded: each element refuses it
+    st = NetworkState({("H", "in", (), 0): 0.5 + 0j})
+    with pytest.raises(RuntimeError, match="probability bookkeeping violated"):
+        element(st)
 
 
 def test_prepare_validation():
