@@ -127,19 +127,19 @@ def _new_core(r_c, r_nc, zeta, a2, b2, phase, att):
     """Shared kernel; works on scalars and elementwise on numpy arrays.
 
     Returns (fidelity numerator, success, p_loss, raw H probability,
-    survival 1 - p_loss). Fidelity = numerator / success where success
-    is nonzero.
+    survival). Fidelity = numerator / success where success is nonzero.
     """
     g = 0.5 * (r_c - r_nc)
-    t_sum = (1.0 - abs(r_c) ** 2) + (1.0 - abs(r_nc) ** 2)
-    p_loss = (1.0 - att * att) * a2 + zeta * 0.5 * b2 * t_sum
-    nl2 = 1.0 - p_loss
+    rc2, rnc2 = abs(r_c) ** 2, abs(r_nc) ** 2
+    p_loss = (1.0 - att * att) * a2 + zeta * 0.5 * b2 * ((1.0 - rc2) + (1.0 - rnc2))
     raw_h = (1.0 - zeta) * b2 + zeta * 0.25 * b2 * abs(r_c + r_nc) ** 2
-    # nl2 - raw_h for a normalized photon, as a sum of non-negative terms:
-    # the difference cancels to rounding error where success is near zero
+    # survival 1 - p_loss and success survival - raw_h for a normalized
+    # photon, each as a sum of non-negative terms: the differences cancel
+    # to rounding error where little light survives or heralds
+    survival = att * att * a2 + (1.0 - zeta) * b2 + zeta * 0.5 * b2 * (rc2 + rnc2)
     success = att * att * a2 + zeta * abs(g) ** 2 * b2
     num = (1.0 - zeta) * (att * a2) ** 2 + zeta * abs(att * a2 * phase + g * b2) ** 2
-    return num, success, p_loss, raw_h, nl2
+    return num, success, p_loss, raw_h, survival
 
 
 def cz_new_from_reflections(
@@ -162,10 +162,10 @@ def cz_new_from_reflections(
     a2 = abs(state.alpha_p) ** 2
     b2 = abs(state.beta_p) ** 2
     phase = cmath.exp(1j * _reduce_phase(phi))
-    num, success, p_loss, raw_h, nl2 = _new_core(
+    num, success, p_loss, raw_h, survival = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
     )
-    p_h = float(raw_h / nl2) if nl2 > HERALD_TOL else 0.0
+    p_h = float(raw_h / survival) if survival > HERALD_TOL else 0.0
     if success < HERALD_TOL:
         return GateResult(None, float(max(success, 0.0)), float(p_loss), p_h, no_herald=True)
     g = 0.5 * (refl.r_c - refl.r_nc)
@@ -291,6 +291,22 @@ _V_DENOMS = tuple(
 )
 
 
+def _tail_denoms(w: float) -> list:
+    """Divisors 1/E_k of the moments of v = 1 - u on [0, w], 0 < w <= 1/2,
+    under the density -ln u, scaled as E_k = (integral of v^k (-ln(1 - v))
+    over [0, w]) / w^(k+2). By partial fractions E_k = (-ln(1 - w)/w -
+    phi_k)/(k + 1) with phi_k = sum over m >= 1 of w^(m-1)/(m + k + 1),
+    whose downward recurrence phi_k = w phi_(k+1) + 1/(k + 2) shrinks the
+    error of starting from 0 by w per step."""
+    lw = -math.log1p(-w) / w
+    phi, denoms = 0.0, []
+    for k in range(_SERIES_TERMS + 64, -1, -1):
+        phi = w * phi + 1.0 / (k + 2)
+        if k < _SERIES_TERMS + 3:
+            denoms.append((k + 1) / (lw - phi))
+    return denoms[::-1]
+
+
 def _moment_series(m0: float, m1: float, m2: float, x: float, denoms) -> float:
     """Average of (m0 + m1 w + m2 w^2) / (1 - x w) for |x| <= 2/3, as the
     sum over k of x^k (m0/d_k + m1/d_(k+1) + m2/d_(k+2)), d = denoms. It
@@ -336,9 +352,10 @@ def avg_fidelity_old(p: CavityParams) -> float:
     the success probability. The average weighs u by its density -ln u
     over the heralded set {D >= HERALD_TOL}, which is one interval because
     D is linear; NoHeraldError where it is empty. On all of [0, 1] and for
-    x = d1/d0 in [-2, 1/2) it is a power series in u or 1 - u; otherwise
-    N/D is split into a polynomial and R/D, whose integral is one
-    dilogarithm (or two, on part of [0, 1])."""
+    x = d1/d0 in [-2, 1/2) it is a power series in u or 1 - u, and so it
+    is on a heralded [lo, 1] with lo >= 1/2; otherwise N/D is split into a
+    polynomial and R/D, whose integral is one dilogarithm (or two, on part
+    of [0, 1])."""
     refl = reflection_lossy(p)
     zeta, r_c, r_nc = p.zeta, refl.r_c, refl.r_nc
     s = r_c + r_nc
@@ -366,6 +383,14 @@ def avg_fidelity_old(p: CavityParams) -> float:
             return _moment_series(
                 n0 + n1 + n2, -n1 - 2.0 * n2, n2, -x / (1.0 - x), _V_DENOMS
             ) / (d0 - d1)
+    if lo >= 0.5:  # narrow [lo, 1]: the antiderivatives below would cancel
+        # D = D(1) (1 - x' v) in v = 1 - u <= w, and d0 >= 0 gives x' <= 1
+        w = 1.0 - lo
+        d_one = d0 - d1
+        denoms = _tail_denoms(w)
+        return _moment_series(
+            n0 + n1 + n2, (-n1 - 2.0 * n2) * w, n2 * w * w, -d1 / d_one * w, denoms
+        ) * denoms[0] / d_one
     # N = (q1 u + q0) D + R; the integral of -ln u / D over [0, 1] is Li2(x) / d1
     q1 = -n2 / d1
     q0 = (q1 * d0 - n1) / d1

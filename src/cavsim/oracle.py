@@ -15,11 +15,11 @@ attenuator) and add their probability to the state's `discarded`. Lost
 amplitudes never re-enter a path, so nothing else needs them. Every
 element checks that the optical norm plus `discarded` stays at 1.
 
-Each element is one direct loop (a dict comprehension where it only
-relabels or rephases) over the amplitude dict. It builds the new dict
-in the order of the old one's labels, drops zero amplitudes, and adds
-amplitudes that land on the same label coherently, so every sum over a
-state runs in one fixed order.
+The linear elements (PBS, wave plates, phase, attenuator) are tables
+that one loop, `_linear`, applies; cavity scattering has its own loop.
+Each builds the new dict in the order of the old one's labels, drops
+zero amplitudes, and adds amplitudes that land on the same label
+coherently, so every sum over a state runs in one fixed order.
 
 None of this shares code with the closed forms in `analytic`, so the
 agreement tests between the two are a genuine cross-check.
@@ -78,19 +78,11 @@ class NetworkState:
     discarded: float = 0.0
 
     def norm_sq(self) -> float:
-        # a list, not a generator: the same sum in the same order, faster
-        return sum([abs(a) ** 2 for a in self.amps.values()])
+        # a list, not a generator, and x * x, not x ** 2: the faster forms
+        return sum([x * x for x in map(abs, self.amps.values())])
 
     def conservation_defect(self) -> float:
         return abs(self.norm_sq() + self.discarded - 1.0)
-
-
-def _check(state: NetworkState) -> NetworkState:
-    if state.conservation_defect() > CONSERVATION_TOL:
-        raise RuntimeError(
-            f"probability bookkeeping violated: defect {state.conservation_defect():.3e}"
-        )
-    return state
 
 
 def prepare_photon_atom(photon: dict, atom) -> NetworkState:
@@ -103,6 +95,8 @@ def prepare_photon_atom(photon: dict, atom) -> NetworkState:
     a_norm = sum(abs(v) ** 2 for v in atom)
     if abs(p_norm - 1.0) > 1e-12 or abs(a_norm - 1.0) > 1e-12:
         raise ValueError("photon and atom amplitudes must each be normalized")
+    if (defect := abs(p_norm * a_norm - 1.0)) > CONSERVATION_TOL:
+        raise ValueError(f"product state norm is off by {defect:.3e} > CONSERVATION_TOL")
     dim = len(atom)
     if dim & (dim - 1) or dim == 0:
         raise ValueError("atomic vector length must be a power of two")
@@ -120,69 +114,66 @@ def prepare_photon_atom(photon: dict, atom) -> NetworkState:
 def _with_amps(state: NetworkState, amps: dict, lost=()) -> NetworkState:
     """An element's output, checked: `amps`, and the input's discard plus
     the probability of the amplitudes the element removed (`lost`)."""
-    return _check(NetworkState(amps, state.discarded + sum(abs(a) ** 2 for a in lost)))
+    out = NetworkState(amps, state.discarded + sum([abs(a) ** 2 for a in lost]))
+    if (defect := out.conservation_defect()) > CONSERVATION_TOL:
+        raise RuntimeError(f"probability bookkeeping violated: defect {defect:.3e}")
+    return out
+
+
+def _linear(state: NetworkState, path: str, rule: dict, loss: float = 0.0) -> NetworkState:
+    """Apply a linear optical element to one path.
+
+    `rule[pol]` lists the `(pol, path, factor)` outputs of each
+    polarization on `path`; mode and atom are kept, and other paths pass
+    unchanged. Each component on `path` also sends `loss` times its
+    amplitude into its own loss branch.
+    """
+    out = {}
+    lost = []
+    for lbl, a in state.amps.items():
+        if lbl[1] == path:
+            if loss:
+                lost.append(a * loss)
+            for pol, pth, factor in rule[lbl[0]]:
+                na = a * factor
+                if na != 0j:
+                    key = (pol, pth, lbl[2], lbl[3])
+                    out[key] = out.get(key, 0j) + na
+        elif a != 0j:  # an output path may already carry the label
+            out[lbl] = out.get(lbl, 0j) + a
+    return _with_amps(state, out, lost)
 
 
 def apply_pbs(state: NetworkState, in_path: str, h_path: str, v_path: str) -> NetworkState:
     """Route H on in_path to h_path and V to v_path."""
-    out = {}
-    for lbl, a in state.amps.items():
-        if lbl[1] == in_path:
-            pol, _, mode, atom = lbl
-            lbl = (pol, h_path if pol == "H" else v_path, mode, atom)
-        if a != 0j:  # h_path or v_path may already carry the label
-            out[lbl] = out.get(lbl, 0j) + a
-    return _with_amps(state, out)
+    return _linear(state, in_path, {"H": (("H", h_path, 1.0),), "V": (("V", v_path, 1.0),)})
 
 
 def apply_hwp(state: NetworkState, path: str) -> NetworkState:
     """Swap H and V on one path."""
-    return _with_amps(state, {
-        ("V" if lbl[0] == "H" else "H", path, lbl[2], lbl[3]) if lbl[1] == path else lbl: a
-        for lbl, a in state.amps.items() if a != 0j
-    })
+    return _linear(state, path, {"H": (("V", path, 1.0),), "V": (("H", path, 1.0),)})
 
 
 def apply_qwp(state: NetworkState, path: str) -> NetworkState:
     """H -> (V - H)/sqrt(2), V -> (V + H)/sqrt(2) on one path."""
-    out = {}
-    for lbl, a in state.amps.items():
-        if lbl[1] == path:
-            pol, _, mode, atom = lbl
-            sign = -1.0 if pol == "H" else 1.0
-            for nl, na in (
-                (("H", path, mode, atom), a * sign * _SQRT_HALF),
-                (("V", path, mode, atom), a * _SQRT_HALF),
-            ):
-                if na != 0j:
-                    out[nl] = out.get(nl, 0j) + na
-        elif a != 0j:
-            out[lbl] = out.get(lbl, 0j) + a
-    return _with_amps(state, out)
+    return _linear(state, path, {
+        "H": (("H", path, -_SQRT_HALF), ("V", path, _SQRT_HALF)),
+        "V": (("H", path, _SQRT_HALF), ("V", path, _SQRT_HALF)),
+    })
 
 
 def apply_phase(state: NetworkState, path: str, phi: float) -> NetworkState:
     """Multiply every amplitude on path by exp(i phi)."""
     factor = cmath.exp(1j * _reduce_phase(phi))
-    return _with_amps(state, {
-        lbl: a * factor if lbl[1] == path else a for lbl, a in state.amps.items() if a != 0j
-    })
+    return _linear(state, path, {"H": (("H", path, factor),), "V": (("V", path, factor),)})
 
 
 def apply_attenuator(state: NetworkState, path: str, amplitude: float) -> NetworkState:
     """Attenuate one path; the removed weight is discarded."""
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("attenuator amplitude must lie in [0, 1]")
-    t = math.sqrt(max(0.0, 1.0 - amplitude * amplitude))
-    out = {}
-    lost = []  # each optical component on the path has its own loss branch
-    for lbl, a in state.amps.items():
-        if lbl[1] == path:
-            lost.append(a * t)
-            a *= amplitude
-        if a != 0j:
-            out[lbl] = a
-    return _with_amps(state, out, lost)
+    kept = {"H": (("H", path, amplitude),), "V": (("V", path, amplitude),)}
+    return _linear(state, path, kept, math.sqrt(1.0 - amplitude * amplitude))
 
 
 def _coupled(coupling: str, sigma: int, bit: int) -> bool:
@@ -265,7 +256,7 @@ def apply_scattering(
 def _project(kept: dict):
     """(kept amplitudes renormalized, their probability); None for the
     state when the probability is below HERALD_TOL."""
-    prob = sum(abs(a) ** 2 for a in kept.values())
+    prob = sum([abs(a) ** 2 for a in kept.values()])
     if prob < HERALD_TOL:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
@@ -305,7 +296,7 @@ def fidelity_against(state: NetworkState, ideal: dict, path: str) -> float:
         ref = ideal.get((pol, atom))
         if ref is not None:
             by_mode[mode] = by_mode.get(mode, 0j) + ref.conjugate() * a
-    return sum(abs(v) ** 2 for v in by_mode.values())
+    return sum([abs(v) ** 2 for v in by_mode.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +352,8 @@ def run_cz_new(
     )
     st, out, rej = _cz_new_network(st, "in", "", refl, zeta, theta, phi, 0, v_attenuation)
     p_loss = st.discarded
-    p_rej = sum(abs(a) ** 2 for lbl, a in st.amps.items() if lbl[1] == rej)
-    survived = 1.0 - p_loss
+    p_rej = sum([abs(a) ** 2 for lbl, a in st.amps.items() if lbl[1] == rej])
+    survived = st.norm_sq()
     p_h = p_rej / survived if survived > HERALD_TOL else 0.0
     heralded, p_succ = herald(st, {out})
     if heralded is None:
@@ -375,7 +366,7 @@ def run_cz_new(
     }
     fid = fidelity_against(heralded, ideal, out)
     v_amp, h_amp = (
-        math.sqrt(sum(abs(a) ** 2 for lbl, a in heralded.amps.items() if lbl[0] == pol))
+        math.sqrt(sum([abs(a) ** 2 for lbl, a in heralded.amps.items() if lbl[0] == pol]))
         for pol in ("V", "H")
     )
     return GateResult(fid, p_succ, p_loss, p_h, v_amp, h_amp)

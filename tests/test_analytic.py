@@ -362,6 +362,32 @@ def test_average_fidelity_old_matches_mpmath(params, expected):
     assert avg_fidelity_old(params) == pytest.approx(expected, rel=0.0, abs=5e-15)
 
 
+# Narrow heralded intervals [lo, 1], where differences of antiderivatives
+# at lo and 1 lose about eps / (1 - lo)^2: 40-digit mpmath quadratures
+# of N(u)/D(u) against -ln u over the interval, to 22 digits.
+# (params, lo, value)
+MPMATH_FIDELITY_OLD_NARROW = [
+    (_old_point(5.111719874505108e-07, kappa_ratio=0.5, zeta=1.0, delta_a=-0.16960539113332307),
+     0.98429069, 0.9895202211090216061432),
+    (_old_point(5.073947713651884e-07, kappa_ratio=0.5, zeta=1.0, delta_a=-0.16960539113332307),
+     0.999, 0.9993333054623157034745),
+    (_old_point(5.071435459913509e-07, kappa_ratio=0.5, zeta=1.0, delta_a=-0.16960539113332307),
+     0.99999, 0.9999933332329966775901),
+    # r_nc != 0 and zeta < 1, so every coefficient of N is nonzero
+    (_old_point(5.4246e-07, kappa_ratio=0.5, zeta=1.0 - 2e-13, delta_c=3e-7, delta_a=0.4),
+     0.89853253, 0.8938227850862765349545),
+]
+
+
+@pytest.mark.parametrize("params, lo, expected", MPMATH_FIDELITY_OLD_NARROW)
+def test_average_fidelity_old_on_a_narrow_heralded_interval(params, lo, expected):
+    # the interval starts where the success D(u) falls to HERALD_TOL
+    refl = reflection_lossy(params)
+    _, d_lo, _ = analytic._old_core(refl.r_c, refl.r_nc, params.zeta, 0.0, 1.0, 1.0 - lo, lo)
+    assert d_lo == pytest.approx(analytic.HERALD_TOL, rel=1e-6)
+    assert avg_fidelity_old(params) == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+
 def test_average_fidelity_old_without_herald_raises():
     # critical coupling at C = 0: r_c = r_nc = 0, nothing comes back
     with pytest.raises(analytic.NoHeraldError):
