@@ -64,7 +64,8 @@ class JointState:
     def __post_init__(self):
         ph = abs(self.alpha_p) ** 2 + abs(self.beta_p) ** 2
         at = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(ph - 1.0) > 1e-12 or abs(at - 1.0) > 1e-12:
+        # written so that a NaN fails it
+        if not (abs(ph - 1.0) <= 1e-12 and abs(at - 1.0) <= 1e-12):
             raise ValueError("photon and atom amplitudes must each be normalized")
 
     @classmethod
@@ -103,7 +104,10 @@ class GateResult:
 def _reduce_phase(phi: float) -> float:
     # IEEE remainder keeps phi + 2*pi*k exactly periodic whenever the
     # caller's addition was exact.
-    return math.remainder(float(phi), math.tau)
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    return math.remainder(phi, math.tau)
 
 
 # num / success exceeds 1 only by rounding (at most 2.2e-16 in a 20000-point
@@ -113,9 +117,19 @@ FIDELITY_OVERSHOOT_TOL = 1e-12
 
 def _heralded_fidelity(num, success) -> float:
     fid = float(num / success)
-    if fid > 1.0 + FIDELITY_OVERSHOOT_TOL:
+    if not fid <= 1.0 + FIDELITY_OVERSHOOT_TOL:  # a NaN fails it too
         raise RuntimeError(f"heralded fidelity {fid!r} exceeds 1 beyond rounding")
     return min(fid, 1.0)
+
+
+def _populations(a: complex, b: complex) -> tuple[float, float]:
+    """|a|^2 and |b|^2 of one qubit, rescaled to sum to 1 where that sum
+    is off by more than rounding (1e-15; JointState accepts up to 1e-12):
+    the gates act on the normalized state, and a pair normalized up to
+    rounding keeps its results' bits."""
+    a2, b2 = abs(a) ** 2, abs(b) ** 2
+    norm = a2 + b2
+    return (a2, b2) if abs(norm - 1.0) <= 1e-15 else (a2 / norm, b2 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +173,7 @@ def cz_new_from_reflections(
         raise ValueError("zeta must lie in [0, 1]")
     if not 0.0 <= v_attenuation <= 1.0:
         raise ValueError("v_attenuation must lie in [0, 1]")
-    a2 = abs(state.alpha_p) ** 2
-    b2 = abs(state.beta_p) ** 2
+    a2, b2 = _populations(state.alpha_p, state.beta_p)
     phase = cmath.exp(1j * _reduce_phase(phi))
     num, success, p_loss, raw_h, survival = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
@@ -221,10 +234,8 @@ def cz_old_from_reflections(
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
-    ap2 = abs(state.alpha_p) ** 2
-    bp2 = abs(state.beta_p) ** 2
-    aa2 = abs(state.alpha) ** 2
-    ba2 = abs(state.beta) ** 2
+    ap2, bp2 = _populations(state.alpha_p, state.beta_p)
+    aa2, ba2 = _populations(state.alpha, state.beta)
     num, success, p_loss = _old_core(refl.r_c, refl.r_nc, zeta, ap2, bp2, aa2, ba2)
     if success < HERALD_TOL:
         return GateResult(None, float(max(success, 0.0)), float(p_loss), 0.0, no_herald=True)

@@ -74,7 +74,7 @@ class ReflectionPair:
     def from_amplitudes(cls, r_c: complex, r_nc: complex) -> "ReflectionPair":
         ac = abs(r_c)
         anc = abs(r_nc)
-        if ac > 1.0 + 1e-12 or anc > 1.0 + 1e-12:
+        if not (ac <= 1.0 + 1e-12 and anc <= 1.0 + 1e-12):  # a NaN fails it
             raise ValueError("reflection amplitudes must satisfy |r| <= 1")
         return cls(
             r_c=complex(r_c),

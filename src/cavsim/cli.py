@@ -35,13 +35,7 @@ from pathlib import Path
 
 from .analytic import JointState, NoHeraldError, cz_new, cz_old
 from .cavity import BASELINE_PARAMS, CavityParams, reflection_lossy
-from .montecarlo import (
-    FluctuationSpec,
-    default_c_grid,
-    mc_infidelity_curve,
-    sweep_1d,
-    write_json,
-)
+from .montecarlo import FluctuationSpec, _linspace, mc_infidelity_curve, sweep_1d, write_json
 
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
@@ -161,27 +155,33 @@ def _gate_result_dict(res) -> dict:
     return out
 
 
-def _write_artifact(out, name: str, payload: dict) -> None:
+def _write_artifact(out, name: str, write) -> None:
+    """The one file writer: make the directory `out`, write out/name
+    through write(path) and print `wrote PATH`."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w", newline="") as fh:
-        write_json(payload, fh)
+    write(path)
     print(f"wrote {path}")
 
 
-def _emit_result(result, args, stem: str) -> None:
-    """Write CSV/JSON artifacts for one SweepResult."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _json_writer(payload: dict):
+    """write(path) of one JSON artifact, for _write_artifact."""
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            write_json(payload, fh)
+
+    return write
+
+
+def _write_curves(args, prefix: str, curves) -> None:
+    """Write each SweepResult as PREFIX_SCHEME.csv and .json, or in
+    args.format alone, through its to_csv / to_json."""
     formats = ("csv", "json") if args.format is None else (args.format,)
-    for fmt in formats:
-        path = out_dir / f"{stem}.{fmt}"
-        if fmt == "csv":
-            result.to_csv(path)
-        else:
-            result.to_json(path)
-        print(f"wrote {path}")
+    for curve in curves:
+        for fmt in formats:
+            name = f"{prefix}_{curve.metadata['scheme']}.{fmt}"
+            _write_artifact(args.out, name, getattr(curve, f"to_{fmt}"))
 
 
 def cmd_gate(args) -> int:
@@ -192,6 +192,11 @@ def cmd_gate(args) -> int:
     for name, value in (("phi", phi), ("v_attenuation", att)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if args.scheme == "old" and value != _GATE_DEFAULTS[name]:
+            raise ValueError(
+                f"the old scheme has no interferometer: {name} must be "
+                f"{_GATE_DEFAULTS[name]}, got {value}"
+            )
 
     if args.scheme == "new":
         res = cz_new(params, state, phi=phi, v_attenuation=att)
@@ -206,12 +211,7 @@ def cmd_gate(args) -> int:
         "params": asdict(params),
         "phi": phi,
         "v_attenuation": att,
-        "state": {
-            "alpha_p": _fmt_complex(state.alpha_p),
-            "beta_p": _fmt_complex(state.beta_p),
-            "alpha": _fmt_complex(state.alpha),
-            "beta": _fmt_complex(state.beta),
-        },
+        "state": {key: _fmt_complex(z) for key, z in asdict(state).items()},
         "result": _gate_result_dict(res),
     }
     if args.oracle:
@@ -240,7 +240,7 @@ def cmd_gate(args) -> int:
             return EXIT_VALIDATION_FAILED
 
     if args.out is not None:
-        _write_artifact(args.out, "gate.json", payload)
+        _write_artifact(args.out, "gate.json", _json_writer(payload))
     elif args.format == "json":
         write_json(payload, sys.stdout)
     else:
@@ -252,21 +252,6 @@ def cmd_gate(args) -> int:
         if args.oracle:
             print(f"oracle_max_deviation {payload['oracle_max_deviation']:.3e}")
     return 0
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 evenly spaced floats from lo to hi, equal bit for bit to
-    np.linspace(lo, hi, n), whose arithmetic this repeats; where the
-    step underflows to zero it scales i / (n - 1) by the width instead."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0:
-        values = [i / div * delta + lo for i in range(n)]
-    else:
-        values = [i * step + lo for i in range(n)]
-    values[-1] = hi
-    return values
 
 
 def cmd_sweep(args) -> int:
@@ -281,8 +266,7 @@ def cmd_sweep(args) -> int:
     values = _linspace(lo, hi, args.points)
     schemes = ("new", "old") if args.scheme == "both" else (args.scheme,)
     results = [sweep_1d(base, args.axis, values, scheme, args.quantity) for scheme in schemes]
-    for scheme, result in zip(schemes, results):
-        _emit_result(result, args, f"sweep_{args.axis}_{args.quantity}_{scheme}")
+    _write_curves(args, f"sweep_{args.axis}_{args.quantity}", results)
     return 0
 
 
@@ -295,10 +279,8 @@ def cmd_mc(args) -> int:
         raise ValueError(f"bad cooperativity range [{args.cmin}, {args.cmax}]")
     if not 1 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"mc needs 1 to {MAX_GRID_POINTS} grid points, got {args.points}")
-    grid = default_c_grid(args.points, args.cmin, args.cmax)
-    result = mc_infidelity_curve(spec, args.scheme, grid)
-    for curve in result if args.scheme == "both" else (result,):
-        _emit_result(curve, args, f"mc_{curve.metadata['scheme']}")
+    result = mc_infidelity_curve(spec, args.scheme, _linspace(args.cmin, args.cmax, args.points))
+    _write_curves(args, "mc", result if args.scheme == "both" else (result,))
     return 0
 
 
@@ -312,7 +294,7 @@ def cmd_validate(args) -> int:
     ok = all(r.passed for r in reports)
     if args.out is not None:
         payload = {"passed": ok, "reports": [r.to_dict() for r in reports]}
-        _write_artifact(args.out, "validation.json", payload)
+        _write_artifact(args.out, "validation.json", _json_writer(payload))
     print("validation " + ("PASSED" if ok else "FAILED"))
     return 0 if ok else EXIT_VALIDATION_FAILED
 

@@ -97,7 +97,7 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     num, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
     if 0.5 * weight < HERALD_TOL:
         raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
-    return num / weight
+    return _heralded_fidelity(num, weight)
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,13 @@ def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     total = den_phi + den_psi
     if total / 16.0 < HERALD_TOL:
         raise NoHeraldError("all branch amplitudes (nearly) vanish; nothing heralds")
+    fid_phi, fid_psi = (
+        _heralded_fidelity(num, den) if den / 16.0 >= HERALD_TOL else 0.0
+        for num, den in ((num_phi, den_phi), (num_psi, den_psi))
+    )
     return OldEntangleResult(
-        phi_plus_fidelity=float(num_phi / den_phi) if den_phi / 16.0 >= HERALD_TOL else 0.0,
-        psi_plus_fidelity=float(num_psi / den_psi) if den_psi / 16.0 >= HERALD_TOL else 0.0,
+        phi_plus_fidelity=fid_phi,
+        psi_plus_fidelity=fid_psi,
         phi_plus_weight=float(den_phi / total),
         psi_plus_weight=float(den_psi / total),
     )

@@ -21,12 +21,12 @@ standard fluctuation spec, which puts its mean two sigma below 1).
 
 A trial whose herald probability is below analytic.HERALD_TOL is
 skipped and counted; a grid point where no trial heralds raises
-NoHeraldError. write_json is the package's one JSON artifact writer.
+NoHeraldError. write_json is the package's one JSON artifact writer, and
+_linspace its one grid builder, for sweep and mc alike.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -124,10 +124,31 @@ def standard_fluctuation_spec(
     return FluctuationSpec(phi1_sigma=sigma_phi, phi2_sigma=sigma_phi, trials=trials, seed=seed)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The package's one grid builder: n >= 1 evenly spaced floats from lo
+    to hi, equal bit for bit to np.linspace(lo, hi, n), whose arithmetic
+    this repeats. n = 1 gives [lo]; where the step underflows to zero it
+    scales i / (n - 1) by the width instead."""
+    if n < 1:
+        raise ValueError(f"a grid needs at least 1 point, got {n}")
+    if n == 1:
+        return [lo]
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
 def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0):
+    """The cooperativity grid of mc as a numpy array."""
     import numpy as np
 
-    return np.linspace(c_min, c_max, points)
+    return np.array(_linspace(c_min, c_max, points), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -144,10 +165,8 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "mean", "stderr"])
-            for x, m, e in self.rows():
-                writer.writerow([f"{x:.12g}", f"{m:.12g}", f"{e:.12g}"])
+            fh.write("x,mean,stderr\n")
+            fh.writelines(f"{x:.12g},{m:.12g},{e:.12g}\n" for x, m, e in self.rows())
 
     def to_json(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -316,7 +335,7 @@ def mc_infidelity_curve(
     grid = default_c_grid() if c_grid is None else np.asarray(c_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c_grid must be a non-empty 1-d array")
-    if np.any(grid <= 0.0):
+    if not np.all(grid > 0.0):  # a NaN fails it
         raise ValueError("cooperativity grid values must be positive")
     for k in (1, 2):
         rel = getattr(spec, f"cavity{k}_c_sigma") / getattr(spec, f"cavity{k}_c_mean")

@@ -93,9 +93,10 @@ def prepare_photon_atom(photon: dict, atom) -> NetworkState:
     """
     p_norm = sum(abs(v) ** 2 for v in photon.values())
     a_norm = sum(abs(v) ** 2 for v in atom)
-    if abs(p_norm - 1.0) > 1e-12 or abs(a_norm - 1.0) > 1e-12:
+    # each check is written so that a NaN fails it
+    if not (abs(p_norm - 1.0) <= 1e-12 and abs(a_norm - 1.0) <= 1e-12):
         raise ValueError("photon and atom amplitudes must each be normalized")
-    if (defect := abs(p_norm * a_norm - 1.0)) > CONSERVATION_TOL:
+    if not (defect := abs(p_norm * a_norm - 1.0)) <= CONSERVATION_TOL:
         raise ValueError(f"product state norm is off by {defect:.3e} > CONSERVATION_TOL")
     dim = len(atom)
     if dim & (dim - 1) or dim == 0:
@@ -115,7 +116,7 @@ def _with_amps(state: NetworkState, amps: dict, lost=()) -> NetworkState:
     """An element's output, checked: `amps`, and the input's discard plus
     the probability of the amplitudes the element removed (`lost`)."""
     out = NetworkState(amps, state.discarded + sum([abs(a) ** 2 for a in lost]))
-    if (defect := out.conservation_defect()) > CONSERVATION_TOL:
+    if not (defect := out.conservation_defect()) <= CONSERVATION_TOL:  # NaN fails
         raise RuntimeError(f"probability bookkeeping violated: defect {defect:.3e}")
     return out
 

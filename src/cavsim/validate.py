@@ -20,7 +20,7 @@ Reference anchors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .analytic import GateResult, JointState, avg_success, cz_new, cz_old
 from .cavity import BASELINE_PARAMS, CavityParams, ReflectionPair, reflection_lossy
@@ -111,21 +111,9 @@ class ValidationReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "reference": c.reference,
-                    "tolerance": c.tolerance,
-                    "mode": c.mode,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        """The report's fields, each check's fields, and each verdict."""
+        checks = [{**asdict(c), "passed": c.passed} for c in self.checks]
+        return {**asdict(self), "passed": self.passed, "checks": checks}
 
 
 def experiment_1() -> ValidationReport:

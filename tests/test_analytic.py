@@ -212,6 +212,45 @@ def test_input_validation():
         avg_success(CavityParams(c=1.0), "fancy")
 
 
+def test_nan_fails_every_input_check():
+    nan = math.nan
+    with pytest.raises(ValueError, match="must each be normalized"):
+        JointState(nan, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="must each be normalized"):
+        JointState(1.0, 0.0, 1.0, nan)
+    with pytest.raises(RuntimeError, match="heralded fidelity nan"):
+        analytic._heralded_fidelity(nan, 1.0)
+    # a pair built directly, past from_amplitudes, reaches the fidelity bound
+    refl = ReflectionPair(complex(nan), -1.0 + 0j, 0.0, 0.0)
+    with pytest.raises(RuntimeError, match="heralded fidelity nan"):
+        cz_new_from_reflections(refl, 1.0, EQUAL)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_is_refused(phi):
+    # a NaN phase returned NaN results and an infinite one a bare
+    # "math domain error"
+    with pytest.raises(ValueError, match="phase must be finite"):
+        cz_new(SINGLE_ATOM_POINT, EQUAL, phi=phi)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        avg_fidelity_new(BALANCE_POINT, phi=phi)
+
+
+@pytest.mark.parametrize("gate", [cz_new_from_reflections, cz_old_from_reflections])
+def test_gate_reads_a_state_off_its_norm_as_normalized(gate):
+    # JointState accepts each pair 0.45e-12 off; the old scheme's numerator
+    # scales as the fourth power of the amplitudes and its success as the
+    # square, so read as given the fidelity was 1 + 1.8e-12 and raised
+    y = math.sqrt(1.0 + 0.45e-12)
+    off = gate(ReflectionPair.ideal(), 1.0, JointState(0.0, y, y, 0.0))
+    assert off == gate(ReflectionPair.ideal(), 1.0, JointState(0.0, 1.0, 1.0, 0.0))
+    assert off.fidelity == 1.0 and off.success_probability == 1.0
+    refl = reflection_lossy(SINGLE_ATOM_POINT)
+    state = JointState(0.6 * y, 0.8j * y, 0.8 * y, -0.6 * y)
+    exact = gate(refl, 0.92, JointState(0.6, 0.8j, 0.8, -0.6))
+    assert gate(refl, 0.92, state).fidelity == pytest.approx(exact.fidelity, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Bloch-sphere averages
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ def test_resonant_lossy_point():
     assert refl.t_c_sq == pytest.approx(1.0 - abs(refl.r_c) ** 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("r_c, r_nc", [(float("nan"), -1.0), (1.0, complex(0.0, float("nan")))])
+def test_nan_reflection_amplitude_is_refused(r_c, r_nc):
+    with pytest.raises(ValueError, match=r"\|r\| <= 1"):
+        ReflectionPair.from_amplitudes(r_c, r_nc)
+
+
 def test_lossless_resonant_cooperativity_one():
     refl = reflection_lossless(1.0)
     assert refl.r_c == pytest.approx(1.0 / 3.0, abs=1e-15)

@@ -9,12 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavsim import montecarlo
+from cavsim import cli, montecarlo
 from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
 from cavsim.cli import (
     _AXIS_RANGES,
     _GATE_DEFAULTS,
-    _linspace,
     EXIT_CONFIG_ERROR,
     EXIT_NO_HERALD,
     EXIT_VALIDATION_FAILED,
@@ -163,7 +162,8 @@ def test_points_above_bound_exit_2_before_allocating(command, tmp_path, capsys, 
     def no_grid(*args, **kwargs):
         raise AssertionError("the grid was allocated")
 
-    monkeypatch.setattr(np, "linspace", no_grid)
+    # both commands build their grid through the one builder they import
+    monkeypatch.setattr(cli, "_linspace", no_grid)
     code = main(command.split() + ["--points", str(10**9), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert "1000000" in capsys.readouterr().err
@@ -171,20 +171,37 @@ def test_points_above_bound_exit_2_before_allocating(command, tmp_path, capsys, 
 
 
 # (0, 5e-324) at 3 points and (0, 1e-321) at 1001: the step underflows
-# to 0 and numpy scales i / (n - 1) by the width instead
+# to 0 and numpy scales i / (n - 1) by the width instead; 500 and 2000
+# points on [1, 10] are mc's default and finest grids
 @pytest.mark.parametrize(
     "lo, hi", [*_AXIS_RANGES.values(), (-3.7, 11.3), (0.0, 1e-321), (0.0, 5e-324)]
 )
-@pytest.mark.parametrize("n", [2, 3, 1001])
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 1001, 2000])
 def test_sweep_grid_is_np_linspace_bit_for_bit(lo, hi, n):
     expected = [float(x).hex() for x in np.linspace(lo, hi, n)]
-    assert [x.hex() for x in _linspace(lo, hi, n)] == expected
+    assert [x.hex() for x in montecarlo._linspace(lo, hi, n)] == expected
 
 
 def test_sweep_grid_reaches_the_zero_step_branch():
     assert (1e-321 - 0.0) / 1000 == 0.0 and (5e-324 - 0.0) / 2 == 0.0
     # a zero step would leave every point but the last at lo
-    assert 0.0 < _linspace(0.0, 1e-321, 1001)[500] < 1e-321
+    assert 0.0 < montecarlo._linspace(0.0, 1e-321, 1001)[500] < 1e-321
+
+
+def test_sweep_and_mc_build_their_grid_through_the_one_builder(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(lo, hi, n):
+        calls.append((lo, hi, n))
+        return montecarlo._linspace(lo, hi, n)
+
+    monkeypatch.setattr(cli, "_linspace", spy)
+    assert main(["sweep", "--scheme", "new", "--axis", "c", "--points", "3",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["mc", "--scheme", "new", "--points", "1", "--trials", "20",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [(1.0, 10.0, 3), (1.0, 10.0, 1)]
 
 
 def test_sweep_files(tmp_path, capsys):
@@ -307,6 +324,26 @@ def test_non_finite_option_is_a_config_error(tmp_path, capsys, argv, message):
     assert message in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, config, key",
+    [("--phi 2.5", None, "phi"), ("--v-attenuation 0.1", None, "v_attenuation"),
+     ("", '{"phi": 0.3}', "phi"), ("", '{"v_attenuation": 0.5}', "v_attenuation")],
+    ids=["phi-flag", "v-attenuation-flag", "phi-config", "v-attenuation-config"],
+)
+def test_old_scheme_refuses_interferometer_options(tmp_path, capsys, flags, config, key):
+    # the old scheme has no interferometer: these options were echoed and ignored
+    argv = ["gate", "--scheme", "old", "--out", str(tmp_path / "out"), *flags.split()]
+    if config is not None:
+        (tmp_path / "point.json").write_text(config)
+        argv += ["--config", str(tmp_path / "point.json")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert f"the old scheme has no interferometer: {key} must be" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    # their defaults, given explicitly, still run
+    assert main("gate --scheme old --phi 0 --v-attenuation 1".split()) == 0
 
 
 def test_non_finite_phase_in_config_file_is_a_config_error(tmp_path, capsys):

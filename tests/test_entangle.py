@@ -30,6 +30,36 @@ def test_ideal_nodes_give_unit_fidelity():
     assert old.psi_plus_fidelity == pytest.approx(1.0, abs=1e-9)
 
 
+# Two nodes whose C differs by 1e-9 relative, with equal phases: the
+# unclamped quotients were 1.0000000000000007 (new) and
+# 1.0000000000000002 (old), found by a scan of 200k such pairs
+_NEW_OVERSHOOT = [
+    (553.1035676306025, -0.2190355289634669, -0.22922693898125113, 0.5378214658141007),
+    (554.7271593275898, 0.18854183866207586, 0.24506844585779675, 0.5367433315083665),
+    (589.6599903936095, 0.9954166310482138, 0.8849105760176403, 0.7505740697158934),
+]
+_OLD_OVERSHOOT = [
+    (998875275.6617496, 0.0, 0.0, 1.0),
+    (999196016.1671304, 0.0, -0.0005622962330404128, 0.9999999999960433),
+]
+
+
+@pytest.mark.parametrize("c, dc, da, kr", _NEW_OVERSHOOT + _OLD_OVERSHOOT)
+def test_near_identical_nodes_stay_at_most_one(c, dc, da, kr):
+    p1 = CavityParams(c=c, delta_c=dc, delta_a=da, kappa_ratio=kr)
+    for p2 in (p1, replace(p1, c=c * (1.0 + 1e-9))):
+        setup = TwoCavitySetup(p1, p2)
+        assert 1.0 - 1e-12 < atom_atom_new(setup) <= 1.0
+        old = atom_atom_old(setup)
+        assert old.phi_plus_fidelity <= 1.0 and old.psi_plus_fidelity <= 1.0
+
+
+def test_non_finite_node_phase_is_refused():
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            atom_atom_new(TwoCavitySetup(IDEAL_NODE, IDEAL_NODE, phi_2=phi))
+
+
 def test_identical_lossy_nodes_still_perfect_new():
     # the polarization herald filters the common error: identical
     # cavities and equal phases give exactly 1 whatever the loss

@@ -182,6 +182,8 @@ def test_spec_validation():
         mc_infidelity_curve(spec, "fancy", SMALL_GRID)
     with pytest.raises(ValueError):
         mc_infidelity_curve(spec, "new", np.array([]))
+    with pytest.raises(ValueError, match="must be positive"):
+        mc_infidelity_curve(spec, "new", [float("nan"), 2.0])
     with pytest.raises(ValueError):
         mc_infidelity_curve(spec, "new", np.array([0.0, 1.0]))
 
@@ -190,6 +192,11 @@ def test_default_grid():
     grid = default_c_grid()
     assert grid.size == 500
     assert grid[0] == 1.0 and grid[-1] == 10.0
+    assert isinstance(grid, np.ndarray) and grid.dtype == float
+    assert [x.hex() for x in grid] == [float(x).hex() for x in np.linspace(1.0, 10.0, 500)]
+    assert default_c_grid(1, 2.5, 7.0).tolist() == [2.5]
+    with pytest.raises(ValueError, match="at least 1 point"):
+        default_c_grid(0)
 
 
 def test_csv_and_json_serialization(tmp_path):

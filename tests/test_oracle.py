@@ -398,6 +398,22 @@ def test_prepare_validation():
         )
 
 
+def test_nan_fails_the_oracle_checks():
+    nan = math.nan
+    with pytest.raises(ValueError, match="must each be normalized"):
+        prepare_photon_atom({"H": nan}, (1.0, 0.0))
+    with pytest.raises(ValueError, match="must each be normalized"):
+        prepare_photon_atom({"H": 1.0}, (nan, 0.0))
+    # a NaN amplitude fails each element's conservation check
+    st = NetworkState({("H", "in", (), 0): complex(nan)})
+    with pytest.raises(RuntimeError, match="defect nan"):
+        apply_hwp(st, "in")
+    with pytest.raises(ValueError, match="phase must be finite"):
+        run_cz_new(ReflectionPair.ideal(), 1.0, EQUAL, phi=nan)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        run_cz_new(ReflectionPair.ideal(), 0.9, EQUAL, theta=math.inf)
+
+
 def test_product_state_off_its_norm_is_refused():
     # photon and atom are each within 1e-12 of normalized, but their
     # product is 1.8e-12 off, above CONSERVATION_TOL: refused as input
