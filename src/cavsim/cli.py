@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -270,7 +271,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _mc_process_policy() -> None:
+    """Keep the memory each grid point frees for the next one, and start
+    no idle BLAS threads (mc calls no BLAS routine; a value the user has
+    set wins). The allocator part needs glibc's mallopt and is skipped
+    where libc has none."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_TRIM_THRESHOLD (-1) at the largest int: never trim; M_MMAP_THRESHOLD
+    # (-3) at its 64-bit maximum, 32 MiB. Setting either one ends glibc's
+    # dynamic adjustment of both.
+    mallopt(-1, 2**31 - 1)
+    mallopt(-3, 1 << 25)
+
+
 def cmd_mc(args) -> int:
+    _mc_process_policy()
     cfg = _merged_config(args, args.spec, asdict(FluctuationSpec()))
     if args.sigma_phi is not None:
         cfg["phi1_sigma"] = cfg["phi2_sigma"] = args.sigma_phi

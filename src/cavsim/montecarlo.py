@@ -231,6 +231,11 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
     normals with a row per parameter in _DRAWN order, scaled in place
     (bit-equal to one rng.normal call per parameter); each cavity is
     reflected once and every scheme's kernel reads those shared arrays.
+    Trailing rows whose sigma is 0 are not drawn but hold 0, so they
+    scale to their mean, as a drawn row does (row * 0 + mean == mean);
+    the drawn rows are the same prefix of the stream. A sigma-0 row
+    before a drawn one is drawn: the normals consume the stream
+    unevenly, so skipping it would move every row after it.
     Returns one (mean, stderr, skipped) per scheme, None where nothing
     heralds, then the clamp counts.
     """
@@ -239,7 +244,12 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
     rng = np.random.Generator(
         np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
     )
-    rows = rng.standard_normal(len(_DRAWN) * spec.trials).reshape(len(_DRAWN), -1)
+    live = len(_DRAWN)
+    while live and getattr(spec, _DRAWN[live - 1] + "_sigma") == 0.0:
+        live -= 1
+    rows = np.empty((len(_DRAWN), spec.trials))
+    rng.standard_normal(out=rows[:live])
+    rows[live:] = 0.0
     for row, name in zip(rows, _DRAWN):
         mean, sigma = getattr(spec, name + "_mean"), getattr(spec, name + "_sigma")
         if name in ("cavity1_c", "cavity2_c"):  # sigma / mean stays fixed along the grid
@@ -292,16 +302,16 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
 def _moving_average(means, stderrs, window: int):
     import numpy as np
 
+    means = np.asarray(means, dtype=float)
+    squares = np.square(np.asarray(stderrs, dtype=float))
     n = len(means)
     out_m = []
     out_e = []
     for i in range(n):
         lo = max(0, i - window // 2)
         hi = min(n, i + (window + 1) // 2)
-        seg = means[lo:hi]
-        err = stderrs[lo:hi]
-        out_m.append(float(np.mean(seg)))
-        out_e.append(float(np.sqrt(np.sum(np.square(err))) / len(seg)))
+        out_m.append(float(np.mean(means[lo:hi])))
+        out_e.append(float(np.sqrt(np.sum(squares[lo:hi])) / (hi - lo)))
     return out_m, out_e
 
 

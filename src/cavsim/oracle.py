@@ -85,19 +85,23 @@ class NetworkState:
         return abs(self.norm_sq() + self.discarded - 1.0)
 
 
+def _check_norms(p_norm: float, a_norm: float) -> None:
+    """Refuse a photon or atom norm off 1 by more than 1e-12, or a product
+    state norm off by more than CONSERVATION_TOL."""
+    # each check is written so that a NaN fails it
+    if not (abs(p_norm - 1.0) <= 1e-12 and abs(a_norm - 1.0) <= 1e-12):
+        raise ValueError("photon and atom amplitudes must each be normalized")
+    if not (defect := abs(p_norm * a_norm - 1.0)) <= CONSERVATION_TOL:
+        raise ValueError(f"product state norm is off by {defect:.3e} > CONSERVATION_TOL")
+
+
 def prepare_photon_atom(photon: dict, atom) -> NetworkState:
     """Product state of one photon (H/V amplitudes) on path "in" and n
     atom qubits.
 
     `atom` is the joint atomic amplitude vector of length 2**n.
     """
-    p_norm = sum(abs(v) ** 2 for v in photon.values())
-    a_norm = sum(abs(v) ** 2 for v in atom)
-    # each check is written so that a NaN fails it
-    if not (abs(p_norm - 1.0) <= 1e-12 and abs(a_norm - 1.0) <= 1e-12):
-        raise ValueError("photon and atom amplitudes must each be normalized")
-    if not (defect := abs(p_norm * a_norm - 1.0)) <= CONSERVATION_TOL:
-        raise ValueError(f"product state norm is off by {defect:.3e} > CONSERVATION_TOL")
+    _check_norms(sum(abs(v) ** 2 for v in photon.values()), sum(abs(v) ** 2 for v in atom))
     dim = len(atom)
     if dim & (dim - 1) or dim == 0:
         raise ValueError("atomic vector length must be a power of two")
@@ -339,6 +343,25 @@ def _cz_new_network(
     return st, out, rej
 
 
+def _normalized(state: JointState) -> JointState:
+    """The state with each qubit rescaled to norm 1 where its squared norm
+    is off by more than rounding (1e-15, as in the closed forms; a
+    JointState may be off by up to 1e-12), once it passes the checks of
+    prepare_photon_atom: the gates act on the normalized state, and a
+    state normalized up to rounding is returned as given, so its results
+    keep their bits."""
+    p_norm = abs(state.alpha_p) ** 2 + abs(state.beta_p) ** 2
+    a_norm = abs(state.alpha) ** 2 + abs(state.beta) ** 2
+    if abs(p_norm - 1.0) <= 1e-15 and abs(a_norm - 1.0) <= 1e-15:
+        return state
+    _check_norms(p_norm, a_norm)
+    qubits = ((state.alpha_p, state.beta_p, p_norm), (state.alpha, state.beta, a_norm))
+    return JointState(*(
+        z / math.sqrt(norm) if abs(norm - 1.0) > 1e-15 else z
+        for *pair, norm in qubits for z in pair
+    ))
+
+
 def run_cz_new(
     refl: ReflectionPair,
     zeta: float,
@@ -348,6 +371,7 @@ def run_cz_new(
     v_attenuation: float = 1.0,
 ) -> GateResult:
     """Full network evaluation of the MZI gate; mirrors cz_new."""
+    state = _normalized(state)
     st = prepare_photon_atom(
         {"H": state.beta_p, "V": state.alpha_p}, (state.alpha, state.beta)
     )
@@ -381,6 +405,7 @@ def run_cz_old(
     The photonic qubit lives in the circular basis: alpha_p on sigma-,
     beta_p on sigma+. Detection is simply the photon coming back.
     """
+    state = _normalized(state)
     h0 = (state.alpha_p + state.beta_p) * _SQRT_HALF
     v0 = (state.beta_p - state.alpha_p) * _SQRT_HALF
     st = prepare_photon_atom({"H": h0, "V": v0}, (state.alpha, state.beta))

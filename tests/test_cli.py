@@ -2,6 +2,10 @@
 byte-level determinism."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -274,6 +278,56 @@ def test_mc_thread_env_validation(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     capsys.readouterr()
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _child_env() -> dict:
+    env = {**os.environ, "CAVSIM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap policy is glibc's mallopt",
+)
+def test_mc_grid_points_reuse_the_heap(tmp_path):
+    # glibc gave each point's temporaries back to the OS and the next point
+    # faulted them in again: ~500 minor faults per point at 10k trials
+    import resource
+
+    def minor_faults(points):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "cavsim.cli", "mc", "--scheme", "both",
+                        "--trials", "10000", "--points", str(points), "--out", "."],
+                       cwd=tmp_path, env=_child_env(), capture_output=True, check=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    per_point = (minor_faults(40) - minor_faults(10)) / 30
+    assert per_point < 50
+
+
+_BLAS_PROBE = """
+import os, sys
+from cavsim.cli import main
+assert "numpy" not in sys.modules
+assert main(sys.argv[1:]) == 0
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_mc_asks_for_one_blas_thread_unless_told(tmp_path, given, expected):
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    argv = ["mc", "--scheme", "new", "--points", "2", "--trials", "20", "--out", "."]
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 def test_validate_command(tmp_path, capsys):

@@ -18,7 +18,9 @@ SRC = Path(cavsim.__file__).resolve().parents[1]
 
 _PROBE = """
 import json, sys
-OPTIONAL = ("numpy", "concurrent.futures", "cavsim.oracle", "cavsim.validate", "cavsim.entangle")
+OPTIONAL = (
+    "numpy", "concurrent.futures", "ctypes", "cavsim.oracle", "cavsim.validate", "cavsim.entangle"
+)
 before = set(sys.modules)
 
 def loaded():

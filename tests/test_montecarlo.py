@@ -103,6 +103,77 @@ def test_both_schemes_reflect_each_cavity_once(monkeypatch):
     assert len(calls) == 2 * grid.size
 
 
+def _point_rows(monkeypatch, spec, c_mean, index):
+    """The ten clamped parameter rows of one _mc_point, in _DRAWN order,
+    and the generator it drew them from."""
+    seen, rows = {}, []
+    make_generator = np.random.Generator
+
+    def generator(bit_generator):
+        seen["rng"] = make_generator(bit_generator)
+        return seen["rng"]
+
+    def reflect(c, dc, da, kr):
+        rows.extend(np.copy(x) for x in (c, kr, dc, da))
+        return c, c
+
+    monkeypatch.setattr(np.random, "Generator", generator)
+    monkeypatch.setattr(montecarlo, "reflection_amplitudes", reflect)
+    monkeypatch.setattr(montecarlo, "_infidelity_stats", lambda *a: rows.extend(a[-2:]))
+    montecarlo._mc_point(spec, ("new",), c_mean, index)
+    monkeypatch.undo()
+    return np.array(rows), seen["rng"]
+
+
+def _full_draw_rows(spec, c_mean, index):
+    """The rows scaled from one standard_normal(10 n) block, as every row
+    was drawn before trailing sigma-0 rows were skipped, and clamped."""
+    key = np.array([spec.seed, index], dtype=np.uint64)
+    rows = np.random.Generator(np.random.Philox(key=key)).standard_normal(10 * spec.trials)
+    rows = rows.reshape(10, -1)
+    for row, name in zip(rows, montecarlo._DRAWN):
+        mean, sigma = getattr(spec, name + "_mean"), getattr(spec, name + "_sigma")
+        if name in ("cavity1_c", "cavity2_c"):
+            mean, sigma = c_mean, sigma / mean * c_mean
+        row *= sigma
+        row += mean
+    for k in (0, 4):
+        np.maximum(rows[k], 0.0, out=rows[k])
+        np.clip(rows[k + 1], 0.0, 1.0, out=rows[k + 1])
+    return rows
+
+
+def _stream_after(spec, index, normals):
+    """The next raw outputs of the point's stream after `normals` draws."""
+    key = np.array([spec.seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.standard_normal(normals)
+    return rng.bit_generator.random_raw(8)
+
+
+_NO_CAVITY_NOISE = {f"cavity{k}_{p}_sigma": 0.0 for k in (1, 2)
+                    for p in ("c", "kappa_ratio", "delta_c", "delta_a")}
+
+
+@pytest.mark.parametrize("changes, live", [
+    ({"phi1_sigma": 0.1, "phi2_mean": 0.3}, 9),  # only the last row is skipped
+    ({**_NO_CAVITY_NOISE, "phi1_mean": -0.2}, 0),  # nothing is drawn
+    ({"cavity1_delta_c_sigma": 0.0, "cavity1_delta_c_mean": 0.1}, 8),  # a middle sigma 0 is drawn
+])
+def test_point_draws_only_the_rows_it_reads(monkeypatch, changes, live):
+    spec = replace(_small_spec(trials=500, seed=5), **changes)
+    rows, rng = _point_rows(monkeypatch, spec, 3.0, 7)
+    full = _full_draw_rows(spec, 3.0, 7)
+    assert rows.tobytes() == full.tobytes()
+    for row, name in zip(rows, montecarlo._DRAWN):
+        if getattr(spec, name + "_sigma") == 0.0:
+            mean = 3.0 if name in ("cavity1_c", "cavity2_c") else getattr(spec, name + "_mean")
+            assert np.all(row == mean)
+    # the stream stopped after the drawn rows
+    assert np.array_equal(rng.bit_generator.random_raw(8),
+                          _stream_after(spec, 7, live * spec.trials))
+
+
 def test_trials_bound_stops_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a grid point was evaluated")

@@ -429,6 +429,25 @@ def test_product_state_off_its_norm_is_refused():
     assert res.fidelity == pytest.approx(1.0, abs=1e-11)
 
 
+@pytest.mark.parametrize(
+    "runner, closed", [(run_cz_new, cz_new_from_reflections), (run_cz_old, cz_old_from_reflections)]
+)
+def test_runners_read_a_state_off_its_norm_as_normalized(runner, closed):
+    # each pair 0.45e-12 off its norm: read as given, both runners returned
+    # fidelity and success 1.0000000000008997
+    y = math.sqrt(1.0 + 0.45e-12)
+    state = JointState(0.0, y, y, 0.0)
+    net = runner(ReflectionPair.ideal(), 1.0, state)
+    ref = closed(ReflectionPair.ideal(), 1.0, state)
+    assert net.fidelity <= 1.0 and net.success_probability <= 1.0
+    assert net.fidelity == pytest.approx(ref.fidelity, abs=ORACLE_AGREEMENT_TOL)
+    assert net.success_probability == pytest.approx(ref.success_probability, abs=1e-15)
+    refl = reflection_lossy(CavityParams(c=3.0, delta_c=0.2, kappa_ratio=0.9, zeta=0.8))
+    off = JointState(0.6 * y, 0.8j * y, 0.8 * y, -0.6 * y)
+    exact = runner(refl, 0.8, JointState(0.6, 0.8j, 0.8, -0.6))
+    assert runner(refl, 0.8, off).fidelity == pytest.approx(exact.fidelity, rel=1e-15)
+
+
 # Attenuated points where little light survives, with the 40-digit mpmath
 # value of raw_h / survival from the same reflection amplitudes and photon
 # populations. (params, state, phi, theta, v_attenuation, survival, p_h)
