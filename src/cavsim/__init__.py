@@ -46,7 +46,6 @@ _EXPORTS = {
     "montecarlo": (
         "FluctuationSpec",
         "SweepResult",
-        "default_c_grid",
         "standard_fluctuation_spec",
         "mc_infidelity_curve",
         "sweep_1d",

@@ -54,6 +54,12 @@ class JointState:
     alpha_p/beta_p are the photon amplitudes: V/H for the new scheme,
     sigma-/sigma+ for the old one. alpha/beta are the atomic qubit
     amplitudes on |0> and |1>.
+
+    The package's one normalization rule: each qubit is accepted within
+    1e-12 of norm 1 (a NaN is not) and stored rescaled where it is more
+    than 1e-15 off, so the gates and the oracle act on the normalized
+    state and a qubit normalized up to rounding keeps its results' bits.
+    The CLI renormalizes amplitude pairs of any finite scale.
     """
 
     alpha_p: complex
@@ -62,11 +68,15 @@ class JointState:
     beta: complex
 
     def __post_init__(self):
-        ph = abs(self.alpha_p) ** 2 + abs(self.beta_p) ** 2
-        at = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        # written so that a NaN fails it
-        if not (abs(ph - 1.0) <= 1e-12 and abs(at - 1.0) <= 1e-12):
-            raise ValueError("photon and atom amplitudes must each be normalized")
+        for a, b in (("alpha_p", "beta_p"), ("alpha", "beta")):
+            za, zb = getattr(self, a), getattr(self, b)
+            norm = abs(za) ** 2 + abs(zb) ** 2
+            if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN fails it
+                raise ValueError("photon and atom amplitudes must each be normalized")
+            if abs(norm - 1.0) > 1e-15:
+                scale = math.sqrt(norm)
+                object.__setattr__(self, a, za / scale)
+                object.__setattr__(self, b, zb / scale)
 
     @classmethod
     def equal_superposition(cls) -> "JointState":
@@ -122,16 +132,6 @@ def _heralded_fidelity(num, success) -> float:
     return min(fid, 1.0)
 
 
-def _populations(a: complex, b: complex) -> tuple[float, float]:
-    """|a|^2 and |b|^2 of one qubit, rescaled to sum to 1 where that sum
-    is off by more than rounding (1e-15; JointState accepts up to 1e-12):
-    the gates act on the normalized state, and a pair normalized up to
-    rounding keeps its results' bits."""
-    a2, b2 = abs(a) ** 2, abs(b) ** 2
-    norm = a2 + b2
-    return (a2, b2) if abs(norm - 1.0) <= 1e-15 else (a2 / norm, b2 / norm)
-
-
 # ---------------------------------------------------------------------------
 # new scheme (MZI + polarization herald)
 # ---------------------------------------------------------------------------
@@ -173,21 +173,22 @@ def cz_new_from_reflections(
         raise ValueError("zeta must lie in [0, 1]")
     if not 0.0 <= v_attenuation <= 1.0:
         raise ValueError("v_attenuation must lie in [0, 1]")
-    a2, b2 = _populations(state.alpha_p, state.beta_p)
+    a2, b2 = abs(state.alpha_p) ** 2, abs(state.beta_p) ** 2
     phase = cmath.exp(1j * _reduce_phase(phi))
     num, success, p_loss, raw_h, survival = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
     )
+    p_loss = max(float(p_loss), 0.0)  # 1 - |r|^2 rounds below 0 where |r| is 1
     p_h = float(raw_h / survival) if survival > HERALD_TOL else 0.0
     if success < HERALD_TOL:
-        return GateResult(None, float(max(success, 0.0)), float(p_loss), p_h, no_herald=True)
+        return GateResult(None, float(max(success, 0.0)), p_loss, p_h, no_herald=True)
     g = 0.5 * (refl.r_c - refl.r_nc)
     v_amp = math.sqrt((v_attenuation**2) * a2 / success)
     h_amp = math.sqrt(zeta * abs(g) ** 2 * b2 / success)
     return GateResult(
         fidelity=_heralded_fidelity(num, success),
         success_probability=float(success),
-        p_loss=float(p_loss),
+        p_loss=p_loss,
         p_h_reject=p_h,
         v_amplitude=v_amp,
         h_amplitude=h_amp,
@@ -234,15 +235,16 @@ def cz_old_from_reflections(
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
-    ap2, bp2 = _populations(state.alpha_p, state.beta_p)
-    aa2, ba2 = _populations(state.alpha, state.beta)
+    ap2, bp2 = abs(state.alpha_p) ** 2, abs(state.beta_p) ** 2
+    aa2, ba2 = abs(state.alpha) ** 2, abs(state.beta) ** 2
     num, success, p_loss = _old_core(refl.r_c, refl.r_nc, zeta, ap2, bp2, aa2, ba2)
+    p_loss = max(float(p_loss), 0.0)  # as in cz_new_from_reflections
     if success < HERALD_TOL:
-        return GateResult(None, float(max(success, 0.0)), float(p_loss), 0.0, no_herald=True)
+        return GateResult(None, float(max(success, 0.0)), p_loss, 0.0, no_herald=True)
     return GateResult(
         fidelity=_heralded_fidelity(num, success),
         success_probability=float(success),
-        p_loss=float(p_loss),
+        p_loss=p_loss,
         p_h_reject=0.0,
     )
 

@@ -27,6 +27,7 @@ timestamps or machine identifiers in the output).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -123,23 +124,31 @@ def _merged_config(args, path, defaults: dict) -> dict:
     return merged
 
 
-def _normalized_pair(a, b, what: str) -> tuple[complex, complex]:
-    """Fill in an equal superposition where unspecified, else normalize."""
-    if a is None and b is None:
+def _normalized_pair(cfg: dict, a: str, b: str) -> tuple[complex, complex]:
+    """The amplitudes cfg[a], cfg[b] normalized at any finite scale, or an
+    equal superposition where both are None. The pair is first divided by
+    the power of two that brings its largest real or imaginary part into
+    [0.5, 1): exact, so no norm overflows, and the result keeps the bits
+    of the unscaled division unless one of its parts is below 2**-1021."""
+    if cfg[a] is None and cfg[b] is None:
         s = math.sqrt(0.5)
         return complex(s), complex(s)
-    za = _parse_complex(a) if a is not None else 0j
-    zb = _parse_complex(b) if b is not None else 0j
+    pair = [_parse_complex(cfg[key]) if cfg[key] is not None else 0j for key in (a, b)]
+    for key, z in zip((a, b), pair):
+        if not cmath.isfinite(z):
+            raise ValueError(f"{key} must be a finite amplitude, got {cfg[key]!r}")
+    largest = max(abs(x) for z in pair for x in (z.real, z.imag))
+    if largest == 0.0:
+        raise ValueError(f"{a} and {b} cannot both vanish")
+    e = math.frexp(largest)[1]
+    za, zb = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in pair)
     norm = math.hypot(abs(za), abs(zb))
-    if norm < 1e-300:
-        raise ValueError(f"{what} amplitudes cannot both vanish")
     return za / norm, zb / norm
 
 
 def _state_from_config(cfg: dict) -> JointState:
-    ap, bp = _normalized_pair(cfg["alpha_p"], cfg["beta_p"], "photon")
-    aa, ba = _normalized_pair(cfg["alpha"], cfg["beta"], "atom")
-    return JointState(ap, bp, aa, ba)
+    return JointState(*_normalized_pair(cfg, "alpha_p", "beta_p"),
+                      *_normalized_pair(cfg, "alpha", "beta"))
 
 
 def _gate_result_dict(res) -> dict:

@@ -114,13 +114,6 @@ class OldEntangleResult:
     phi_plus_weight: float
     psi_plus_weight: float
 
-    @property
-    def weighted_fidelity(self) -> float:
-        return (
-            self.phi_plus_weight * self.phi_plus_fidelity
-            + self.psi_plus_weight * self.psi_plus_fidelity
-        )
-
 
 def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     """Bell fidelities of both heralds for the prior scheme."""

@@ -40,7 +40,6 @@ __all__ = [
     "FluctuationSpec",
     "SweepResult",
     "standard_fluctuation_spec",
-    "default_c_grid",
     "mc_infidelity_curve",
     "sweep_1d",
     "write_json",
@@ -144,13 +143,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def default_c_grid(points: int = 500, c_min: float = 1.0, c_max: float = 10.0):
-    """The cooperativity grid of mc as a numpy array."""
-    import numpy as np
-
-    return np.array(_linspace(c_min, c_max, points), dtype=float)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """One curve: grid, mean values, standard errors, run metadata."""
@@ -235,7 +227,9 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
     scale to their mean, as a drawn row does (row * 0 + mean == mean);
     the drawn rows are the same prefix of the stream. A sigma-0 row
     before a drawn one is drawn: the normals consume the stream
-    unevenly, so skipping it would move every row after it.
+    unevenly, so skipping it would move every row after it. Where both
+    phase rows are undrawn, the kernels read one element of each and
+    broadcast it.
     Returns one (mean, stderr, skipped) per scheme, None where nothing
     heralds, then the clamp counts.
     """
@@ -267,6 +261,8 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
 
     rc1, rnc1 = reflection_amplitudes(c1, dc1, da1, k1)
     rc2, rnc2 = reflection_amplitudes(c2, dc2, da2, k2)
+    if live <= _DRAWN.index("phi1"):  # both phases constant: one value, broadcast
+        f1, f2 = f1[:1], f2[:1]
     stats = [_infidelity_stats(s, rc1, rnc1, rc2, rnc2, f1, f2) for s in schemes]
     return stats, clamped_c, clamped_kr
 
@@ -331,18 +327,19 @@ def mc_infidelity_curve(
     raises NoHeraldError (the new scheme's first such point is reported
     before the old scheme's).
 
-    scheme "new" or "old" returns one SweepResult; "both" returns the
-    (new, old) pair from a single pass over the grid, each curve equal
-    bit for bit to its own single-scheme call. A run whose trials times
-    workers exceeds MAX_TRIALS_IN_FLIGHT, or whose draws could overflow
-    (see _Z_MAX), raises ValueError before any draw.
+    c_grid defaults to 500 points from 1 to 10, the grid of the mc
+    command. scheme "new" or "old" returns one SweepResult; "both"
+    returns the (new, old) pair from a single pass over the grid, each
+    curve equal bit for bit to its own single-scheme call. A run whose
+    trials times workers exceeds MAX_TRIALS_IN_FLIGHT, or whose draws
+    could overflow (see _Z_MAX), raises ValueError before any draw.
     """
     import numpy as np
 
     if scheme not in _SCHEMES + ("both",):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'new', 'old' or 'both'")
     schemes = _SCHEMES if scheme == "both" else (scheme,)
-    grid = default_c_grid() if c_grid is None else np.asarray(c_grid, dtype=float)
+    grid = np.asarray(_linspace(1.0, 10.0, 500) if c_grid is None else c_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c_grid must be a non-empty 1-d array")
     if not np.all(grid > 0.0):  # a NaN fails it

@@ -343,25 +343,6 @@ def _cz_new_network(
     return st, out, rej
 
 
-def _normalized(state: JointState) -> JointState:
-    """The state with each qubit rescaled to norm 1 where its squared norm
-    is off by more than rounding (1e-15, as in the closed forms; a
-    JointState may be off by up to 1e-12), once it passes the checks of
-    prepare_photon_atom: the gates act on the normalized state, and a
-    state normalized up to rounding is returned as given, so its results
-    keep their bits."""
-    p_norm = abs(state.alpha_p) ** 2 + abs(state.beta_p) ** 2
-    a_norm = abs(state.alpha) ** 2 + abs(state.beta) ** 2
-    if abs(p_norm - 1.0) <= 1e-15 and abs(a_norm - 1.0) <= 1e-15:
-        return state
-    _check_norms(p_norm, a_norm)
-    qubits = ((state.alpha_p, state.beta_p, p_norm), (state.alpha, state.beta, a_norm))
-    return JointState(*(
-        z / math.sqrt(norm) if abs(norm - 1.0) > 1e-15 else z
-        for *pair, norm in qubits for z in pair
-    ))
-
-
 def run_cz_new(
     refl: ReflectionPair,
     zeta: float,
@@ -371,7 +352,6 @@ def run_cz_new(
     v_attenuation: float = 1.0,
 ) -> GateResult:
     """Full network evaluation of the MZI gate; mirrors cz_new."""
-    state = _normalized(state)
     st = prepare_photon_atom(
         {"H": state.beta_p, "V": state.alpha_p}, (state.alpha, state.beta)
     )
@@ -405,7 +385,6 @@ def run_cz_old(
     The photonic qubit lives in the circular basis: alpha_p on sigma-,
     beta_p on sigma+. Detection is simply the photon coming back.
     """
-    state = _normalized(state)
     h0 = (state.alpha_p + state.beta_p) * _SQRT_HALF
     v0 = (state.beta_p - state.alpha_p) * _SQRT_HALF
     st = prepare_photon_atom({"H": h0, "V": v0}, (state.alpha, state.beta))

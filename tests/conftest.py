@@ -72,3 +72,21 @@ def bloch_pairs(draw):
     theta = draw(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)))
     phase = draw(st.floats(-math.pi, math.pi))
     return complex(math.cos(0.5 * theta)), cmath.exp(1j * phase) * math.sin(0.5 * theta)
+
+
+# Extreme inputs for the CLI: magnitudes at the ends of the float range,
+# either sign, or interior values.
+EXTREME_MAGNITUDES = (0.0, 1e-300, 5e-324, 1e154, 1e300, 1.7e308)
+
+
+def extreme_floats():
+    extreme = st.sampled_from(EXTREME_MAGNITUDES).flatmap(lambda x: st.sampled_from([x, -x]))
+    return st.one_of(extreme, st.floats(-2.0, 2.0))
+
+
+def extreme_amplitudes():
+    """Complex amplitude strings with extreme or interior parts, a few of
+    them not finite."""
+    parts = st.tuples(extreme_floats(), extreme_floats()).map(lambda p: repr(complex(*p)))
+    reals = extreme_floats().map(repr)
+    return st.one_of(parts, reals, st.sampled_from(["nan", "inf", "-infj", "1e309+0j"]))

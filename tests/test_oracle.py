@@ -416,13 +416,17 @@ def test_nan_fails_the_oracle_checks():
 
 def test_product_state_off_its_norm_is_refused():
     # photon and atom are each within 1e-12 of normalized, but their
-    # product is 1.8e-12 off, above CONSERVATION_TOL: refused as input
+    # product is 1.8e-12 off, above CONSERVATION_TOL: refused as raw input
     # rather than failing the first element's conservation check
     x = math.sqrt(1.0 + 0.9e-12)
     with pytest.raises(ValueError, match=r"product state norm is off by 1\.799e-12"):
-        run_cz_old(ReflectionPair.ideal(), 1.0, JointState(0.0, x, x, 0.0))
+        prepare_photon_atom({"H": x}, (0.0, x))
     with pytest.raises(ValueError, match="> CONSERVATION_TOL"):
         prepare_photon_atom({"H": x}, (0.0, 0.0, x, 0.0))
+    # a JointState stores each qubit rescaled, so the runners never see it
+    res = run_cz_old(ReflectionPair.ideal(), 1.0, JointState(0.0, x, x, 0.0))
+    assert res.fidelity == 1.0
+    assert res.success_probability == pytest.approx(1.0, abs=1e-15)
     # half the excess on each side still runs
     y = math.sqrt(1.0 + 0.45e-12)
     res = run_cz_old(ReflectionPair.ideal(), 1.0, JointState(0.0, y, y, 0.0))
