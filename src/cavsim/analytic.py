@@ -84,6 +84,18 @@ class JointState:
         return cls(s, s, s, s)
 
 
+# A probability or modulus leaves [0, 1] only by rounding (a few ulps in a
+# 20000-point edge scan); that is clamped, and a larger excursion raises.
+FIDELITY_OVERSHOOT_TOL = 1e-12
+
+
+def _unit_interval(x: float, name: str = "heralded fidelity") -> float:
+    if -FIDELITY_OVERSHOOT_TOL <= x <= 1.0 + FIDELITY_OVERSHOOT_TOL:  # a NaN fails it
+        return min(max(x, 0.0), 1.0)
+    side = "exceeds 1 beyond rounding" if x > 1.0 else "falls below 0 beyond rounding"
+    raise RuntimeError(f"{name} {x!r} {side if x == x else 'is not a number'}")
+
+
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of one gate evaluation.
@@ -100,6 +112,10 @@ class GateResult:
     branches |V>(alpha|0> + beta|1>) and |H>(alpha|0> - beta|1>). They
     are None for the old scheme. On a no-herald outcome the fidelity
     and amplitudes are None and no_herald is set.
+
+    The six numbers lie in [0, 1]: one outside by rounding (within
+    FIDELITY_OVERSHOOT_TOL) is clamped, and one further out, or a NaN,
+    raises RuntimeError naming it.
     """
 
     fidelity: float | None
@@ -110,6 +126,14 @@ class GateResult:
     h_amplitude: float | None = None
     no_herald: bool = False
 
+    def __post_init__(self):
+        for name in ("fidelity", "success_probability", "p_loss", "p_h_reject",
+                     "v_amplitude", "h_amplitude"):
+            x = getattr(self, name)
+            if x is not None and not 0.0 <= x <= 1.0:
+                label = "heralded fidelity" if name == "fidelity" else name
+                object.__setattr__(self, name, _unit_interval(x, label))
+
 
 def _reduce_phase(phi: float) -> float:
     # IEEE remainder keeps phi + 2*pi*k exactly periodic whenever the
@@ -118,18 +142,6 @@ def _reduce_phase(phi: float) -> float:
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
     return math.remainder(phi, math.tau)
-
-
-# num / success exceeds 1 only by rounding (at most 2.2e-16 in a 20000-point
-# edge scan); that is clamped, and an overshoot above this tolerance raises.
-FIDELITY_OVERSHOOT_TOL = 1e-12
-
-
-def _heralded_fidelity(num, success) -> float:
-    fid = float(num / success)
-    if not fid <= 1.0 + FIDELITY_OVERSHOOT_TOL:  # a NaN fails it too
-        raise RuntimeError(f"heralded fidelity {fid!r} exceeds 1 beyond rounding")
-    return min(fid, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +190,15 @@ def cz_new_from_reflections(
     num, success, p_loss, raw_h, survival = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
     )
-    p_loss = max(float(p_loss), 0.0)  # 1 - |r|^2 rounds below 0 where |r| is 1
-    p_h = float(raw_h / survival) if survival > HERALD_TOL else 0.0
+    p_h = raw_h / survival if survival > HERALD_TOL else 0.0
     if success < HERALD_TOL:
-        return GateResult(None, float(max(success, 0.0)), p_loss, p_h, no_herald=True)
+        return GateResult(None, success, p_loss, p_h, no_herald=True)
     g = 0.5 * (refl.r_c - refl.r_nc)
     v_amp = math.sqrt((v_attenuation**2) * a2 / success)
     h_amp = math.sqrt(zeta * abs(g) ** 2 * b2 / success)
     return GateResult(
-        fidelity=_heralded_fidelity(num, success),
-        success_probability=float(success),
+        fidelity=num / success,
+        success_probability=success,
         p_loss=p_loss,
         p_h_reject=p_h,
         v_amplitude=v_amp,
@@ -238,12 +249,11 @@ def cz_old_from_reflections(
     ap2, bp2 = abs(state.alpha_p) ** 2, abs(state.beta_p) ** 2
     aa2, ba2 = abs(state.alpha) ** 2, abs(state.beta) ** 2
     num, success, p_loss = _old_core(refl.r_c, refl.r_nc, zeta, ap2, bp2, aa2, ba2)
-    p_loss = max(float(p_loss), 0.0)  # as in cz_new_from_reflections
     if success < HERALD_TOL:
-        return GateResult(None, float(max(success, 0.0)), p_loss, 0.0, no_herald=True)
+        return GateResult(None, success, p_loss, 0.0, no_herald=True)
     return GateResult(
-        fidelity=_heralded_fidelity(num, success),
-        success_probability=float(success),
+        fidelity=num / success,
+        success_probability=success,
         p_loss=p_loss,
         p_h_reject=0.0,
     )

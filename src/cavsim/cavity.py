@@ -63,6 +63,10 @@ class ReflectionPair:
     t_c_sq and t_nc_sq are the corresponding single-pass loss
     probabilities 1 - |r|**2 (cavity scattering, transmission and
     spontaneous emission lumped together).
+
+    from_amplitudes owns |r| <= 1: it accepts an |r| within 1e-12 of 1
+    (not a NaN) and stores r / |r| where |r| is more than 1e-15 above 1.
+    Computed pairs stay within 1 + 4.4e-16 and keep their bits.
     """
 
     r_c: complex
@@ -76,6 +80,10 @@ class ReflectionPair:
         anc = abs(r_nc)
         if not (ac <= 1.0 + 1e-12 and anc <= 1.0 + 1e-12):  # a NaN fails it
             raise ValueError("reflection amplitudes must satisfy |r| <= 1")
+        if ac > 1.0 + 1e-15:
+            r_c, ac = r_c / ac, 1.0
+        if anc > 1.0 + 1e-15:
+            r_nc, anc = r_nc / anc, 1.0
         return cls(
             r_c=complex(r_c),
             r_nc=complex(r_nc),

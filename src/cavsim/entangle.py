@@ -14,7 +14,7 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analytic import HERALD_TOL, NoHeraldError, _heralded_fidelity, _reduce_phase
+from .analytic import HERALD_TOL, NoHeraldError, _reduce_phase, _unit_interval
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
 __all__ = [
@@ -97,15 +97,16 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     num, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
     if 0.5 * weight < HERALD_TOL:
         raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
-    return _heralded_fidelity(num, weight)
+    return _unit_interval(num / weight)
 
 
 @dataclass(frozen=True)
 class OldEntangleResult:
     """Both heralded branches of the prior scheme's two-node protocol.
 
-    The sigma- herald targets (|00> + |11>)/sqrt(2), the sigma+ herald
-    targets (|01> + |10>)/sqrt(2). Weights are the two branch
+    The phi+ herald targets (|00> + |11>)/sqrt(2), the psi+ herald
+    targets (|01> + |10>)/sqrt(2); for an H photon in the oracle's
+    conventions they are its H and V outcomes. Weights are the two branch
     probabilities normalized to sum to one.
     """
 
@@ -124,7 +125,7 @@ def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     if total / 16.0 < HERALD_TOL:
         raise NoHeraldError("all branch amplitudes (nearly) vanish; nothing heralds")
     fid_phi, fid_psi = (
-        _heralded_fidelity(num, den) if den / 16.0 >= HERALD_TOL else 0.0
+        _unit_interval(num / den) if den / 16.0 >= HERALD_TOL else 0.0
         for num, den in ((num_phi, den_phi), (num_psi, den_psi))
     )
     return OldEntangleResult(
@@ -157,7 +158,7 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
     if survived < HERALD_TOL:
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2
-    return TwoAtomEstimate(fidelity=_heralded_fidelity(num, survived), p_loss=float(p_loss))
+    return TwoAtomEstimate(fidelity=_unit_interval(num / survived), p_loss=float(p_loss))
 
 
 def two_atoms_one_cavity(p: CavityParams) -> TwoAtomEstimate:

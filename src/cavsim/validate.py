@@ -73,11 +73,6 @@ class CheckResult:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # numpy scalars sneak in from vectorised callers; pin to builtins
-        # so reports serialise cleanly
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "reference", float(self.reference))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
         if self.tolerance < 0.0:
             raise ValueError("tolerance must be >= 0")
 
@@ -228,6 +223,8 @@ def multiphoton_throughput(nbar: float, eta: float, p_success: float) -> float:
         raise ValueError("nbar must be finite and >= 0")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if not 0.0 <= p_success <= 1.0:
+        raise ValueError("p_success must lie in [0, 1]")
     return nbar * math.exp(-nbar) * eta * p_success
 
 

@@ -199,12 +199,16 @@ def test_fidelity_above_one_beyond_rounding_raises(monkeypatch, core, gate):
 
 
 def test_heralded_fidelity_bound():
-    # the one bound both gates and two_atoms_one_cavity divide through
+    # the one [0, 1] bound of GateResult and the entanglement fidelities
     assert analytic.FIDELITY_OVERSHOOT_TOL == 1e-12
-    assert analytic._heralded_fidelity(1.0 + 2.2e-16, 1.0) == 1.0
-    assert analytic._heralded_fidelity(0.25, 0.5) == 0.5
-    with pytest.raises(RuntimeError):
-        analytic._heralded_fidelity(1.01, 1.0)
+    assert analytic._unit_interval((1.0 + 2.2e-16) / 1.0) == 1.0
+    assert analytic._unit_interval(0.25 / 0.5) == 0.5
+    with pytest.raises(RuntimeError, match="exceeds 1 beyond rounding"):
+        analytic._unit_interval(1.01 / 1.0)
+    # the lower side: rounding below 0 clamps, a larger excursion raises
+    assert analytic._unit_interval(-2.2e-16) == 0.0
+    with pytest.raises(RuntimeError, match="p_loss -1e-11 falls below 0 beyond rounding"):
+        analytic._unit_interval(-1e-11, "p_loss")
 
 
 def test_input_validation():
@@ -227,7 +231,7 @@ def test_nan_fails_every_input_check():
     with pytest.raises(ValueError, match="must each be normalized"):
         JointState(1.0, 0.0, 1.0, nan)
     with pytest.raises(RuntimeError, match="heralded fidelity nan"):
-        analytic._heralded_fidelity(nan, 1.0)
+        analytic._unit_interval(nan / 1.0)
     # a pair built directly, past from_amplitudes, reaches the fidelity bound
     refl = ReflectionPair(complex(nan), -1.0 + 0j, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="heralded fidelity nan"):

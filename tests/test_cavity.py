@@ -111,6 +111,17 @@ def test_reflection_pair_rejects_gain():
         ReflectionPair.from_amplitudes(0.5, -1.0001)
 
 
+def test_reflection_lossy_keeps_bits_where_r_rounds_above_one():
+    # at c = 0 and kappa_ratio = 1 both |r| are 1 exactly and round to
+    # 1 + 2.2e-16 here, below the 1e-15 at which from_amplitudes rescales
+    p = CavityParams(c=0.0, delta_c=-0.5073478390316644, kappa_ratio=1.0)
+    r_c, r_nc = reflection_amplitudes(p.c, p.delta_c, p.delta_a, p.kappa_ratio)
+    assert abs(r_c) > 1.0 and abs(r_nc) > 1.0
+    refl = reflection_lossy(p)
+    assert (refl.r_c, refl.r_nc) == (r_c, r_nc)
+    assert refl.t_c_sq == 0.0 and refl.t_nc_sq == 0.0
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

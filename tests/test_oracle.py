@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavsim import CavityParams, JointState, NoHeraldError, ReflectionPair, reflection_lossy
@@ -198,7 +198,16 @@ def test_remote_chain_matches_closed_form():
         assert abs(res.prob_v + res.prob_h - res.herald_probability) < 1e-12
 
 
+_REPORTED = (
+    "fidelity", "success_probability", "p_loss", "p_h_reject", "v_amplitude", "h_amplitude"
+)
+
+
 def _assert_agrees(closed, net):
+    for res in (closed, net):
+        for name in _REPORTED:
+            x = getattr(res, name)
+            assert x is None or 0.0 <= x <= 1.0, (name, x)
     assert closed.no_herald == net.no_herald
     assert abs(closed.success_probability - net.success_probability) <= ORACLE_AGREEMENT_TOL
     assert abs(closed.p_loss - net.p_loss) <= ORACLE_AGREEMENT_TOL
@@ -206,9 +215,26 @@ def _assert_agrees(closed, net):
         assert abs(closed.fidelity - net.fidelity) <= ORACLE_AGREEMENT_TOL
 
 
+_HALF = (math.sqrt(0.5), math.sqrt(0.5))
+
+
 # 400 draws reach v_attenuation = 0 at c = 1e-6, where success is ~1e-12:
-# the new scheme's success written as 1 - p_loss - raw_h fails there
+# the new scheme's success written as 1 - p_loss - raw_h fails there. The
+# examples are points where |r| rounds just above 1 and a result rounded
+# above 1: cz_old's success, run_cz_old's fidelity, run_cz_new's fidelity.
 @settings(max_examples=400, deadline=None, derandomize=True)
+@example(
+    p=CavityParams(c=0.0, delta_c=-0.5073478390316644, kappa_ratio=1.0, zeta=0.743411547921673),
+    phi=0.0, att=1.0, photon=_HALF, atom=_HALF,
+)
+@example(
+    p=CavityParams(c=0.0, delta_c=0.19987638195174195, kappa_ratio=1.0, zeta=0.7428301275223771),
+    phi=0.0, att=1.0, photon=(1.0, 0.0), atom=(1.0, 0.0),
+)
+@example(
+    p=CavityParams(c=0.0, delta_a=1e-38, kappa_ratio=1.0, zeta=0.35111608223046586),
+    phi=0.0, att=1.0, photon=(1.0, 0.0), atom=_HALF,
+)
 @given(
     p=edge_cavity_params(),
     phi=edge_phases(),
@@ -224,6 +250,16 @@ def test_gates_match_network_on_the_edges(p, phi, att, photon, atom):
         run_cz_new(refl, p.zeta, s, phi=phi, v_attenuation=att),
     )
     _assert_agrees(cz_old_from_reflections(refl, p.zeta, s), run_cz_old(refl, p.zeta, s))
+
+
+def test_pair_above_unit_modulus_reaches_both_paths_bounded():
+    # |r| = 1 + 1e-12 is accepted and stored as |r| = 1: the closed forms
+    # reported success 1 + 2e-12, and the runners raised on the defect.
+    # _assert_agrees also holds every number, success included, in [0, 1].
+    refl = ReflectionPair.from_amplitudes(1.0 + 1e-12, -(1.0 + 1e-12))
+    for s in (JointState(0.0, 1.0, 0.0, 1.0), JointState.equal_superposition()):
+        _assert_agrees(cz_new_from_reflections(refl, 1.0, s), run_cz_new(refl, 1.0, s))
+        _assert_agrees(cz_old_from_reflections(refl, 1.0, s), run_cz_old(refl, 1.0, s))
 
 
 def _near_threshold(s0: float, s1: float, w: float) -> float:

@@ -78,6 +78,9 @@ def test_throughput():
         multiphoton_throughput(-0.1, 0.5, 0.5)
     with pytest.raises(ValueError):
         multiphoton_throughput(0.1, 1.5, 0.5)
+    for p_success in (2.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="p_success must lie in"):
+            multiphoton_throughput(0.13, 0.55, p_success)
     rep = throughput_report()
     assert rep.passed
 
