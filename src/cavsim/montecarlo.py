@@ -6,13 +6,15 @@ spec file, and the run metadata of every curve carries them unchanged.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, grid index), with a fixed draw order inside each stream
 (cavity 1: C, kappa_ratio, delta_c, delta_a; cavity 2 likewise; then
-the two interferometer phases). Results are therefore bit-identical
-however the grid points are scheduled, including under the optional
-thread pool sized by the CAVSIM_THREADS environment variable and capped
-at the number of CPUs. The stream does not depend on the scheme, so
-one pass draws each grid point and reflects each cavity once, and both
-schemes' kernels read the same arrays. trials x workers is bounded by
-MAX_TRIALS_IN_FLIGHT before anything is drawn.
+the two interferometer phases). Consecutive grid points are evaluated
+in blocks of about _BLOCK_TRIALS trials, one set of numpy calls per
+block. Results are bit-identical however the points are grouped and
+scheduled, including under the optional thread pool sized by the
+CAVSIM_THREADS environment variable and capped at the number of CPUs.
+The stream does not depend on the scheme, so one pass draws each grid
+point and reflects each cavity once, and both schemes' kernels read
+the same arrays. trials x workers is bounded by MAX_TRIALS_IN_FLIGHT
+before anything is drawn.
 
 Out-of-range draws are clamped, not resampled: C at 0 from below and
 kappa_ratio into [0, 1]. Clamp counts are reported in the result
@@ -47,11 +49,16 @@ __all__ = [
 
 _SCHEMES = ("new", "old")
 
-# Bound on trials x workers for one mc run. Each worker holds one grid
-# point's draws, reflections and kernel temporaries at a time: ~264
-# bytes per trial, the peak-RSS slope of `mc --scheme both` on one
-# thread between 2e5 and 1e6 trials. The bound keeps that near 1.1 GB.
+# Bound on trials x workers for one mc run. Each worker holds one block's
+# draws, reflections and kernel temporaries at a time, at most
+# max(trials, _BLOCK_TRIALS) trials: ~264 bytes per trial, the peak-RSS
+# slope of `mc --scheme both` on one thread between 2e5 and 1e6 trials.
+# The bound keeps that near 1.1 GB.
 MAX_TRIALS_IN_FLIGHT = 4_000_000
+
+# A block, evaluated by one set of numpy calls, is max(1, _BLOCK_TRIALS
+# // trials) consecutive grid points: one point at 8192 trials and up.
+_BLOCK_TRIALS = 8192
 
 # numpy's ziggurat standard normal stays below 13.71 in magnitude: its
 # tail draw is r - ln(1 - U) / r with r = 3.654 and U <= 1 - 2**-53. So
@@ -216,41 +223,50 @@ def _top(spec: FluctuationSpec, name: str) -> float:
     return abs(getattr(spec, name + "_mean")) + _Z_MAX * getattr(spec, name + "_sigma")
 
 
-def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
-    """Infidelity statistics of each scheme in `schemes` at one grid point.
+def _mc_block(spec: FluctuationSpec, schemes: tuple, block: list):
+    """Infidelity statistics of each scheme in `schemes` at a block of
+    consecutive grid points, given as (index, C) pairs.
 
-    The point's Philox stream is drawn once, as one block of standard
-    normals with a row per parameter in _DRAWN order, scaled in place
-    (bit-equal to one rng.normal call per parameter); each cavity is
-    reflected once and every scheme's kernel reads those shared arrays.
+    Each point's Philox stream is drawn once, as one slab of standard
+    normals with a row per parameter in _DRAWN order; the block's slabs
+    form one (points, rows, trials) array, scaled in place (bit-equal to
+    one rng.normal call per parameter and point). One bit generator is
+    reset to each point's [seed, index] key: cheaper than a new one per
+    point, which would pull OS entropy for a seed it ignores. Each cavity
+    is reflected once per block and every scheme's kernel reads those
+    shared arrays.
     Trailing rows whose sigma is 0 are not drawn but hold 0, so they
     scale to their mean, as a drawn row does (row * 0 + mean == mean);
     the drawn rows are the same prefix of the stream. A sigma-0 row
     before a drawn one is drawn: the normals consume the stream
     unevenly, so skipping it would move every row after it. Where both
-    phase rows are undrawn, the kernels read one element of each and
-    broadcast it.
-    Returns one (mean, stderr, skipped) per scheme, None where nothing
-    heralds, then the clamp counts.
+    phase rows are undrawn, the kernels read one element of each point's
+    rows and broadcast it.
+    Returns per scheme one (mean, stderr, skipped) per point, None where
+    nothing heralds, then the block's clamp counts.
     """
     import numpy as np
 
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
-    )
     live = len(_DRAWN)
     while live and getattr(spec, _DRAWN[live - 1] + "_sigma") == 0.0:
         live -= 1
-    rows = np.empty((len(_DRAWN), spec.trials))
-    rng.standard_normal(out=rows[:live])
-    rows[live:] = 0.0
-    for row, name in zip(rows, _DRAWN):
+    rows = np.empty((len(block), len(_DRAWN), spec.trials))
+    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bits), bits.state
+    for slab, (index, _) in zip(rows, block):
+        fresh["state"]["key"][1] = index
+        bits.state = fresh
+        rng.standard_normal(out=slab[:live])
+    rows[:, live:] = 0.0
+    params = rows.transpose(1, 0, 2)  # one (points, trials) view per parameter
+    c_means = np.array([[c] for _, c in block])
+    for row, name in zip(params, _DRAWN):
         mean, sigma = getattr(spec, name + "_mean"), getattr(spec, name + "_sigma")
         if name in ("cavity1_c", "cavity2_c"):  # sigma / mean stays fixed along the grid
-            mean, sigma = c_mean, sigma / mean * c_mean
+            mean, sigma = c_means, sigma / mean * c_means
         row *= sigma
         row += mean
-    c1, k1, dc1, da1, c2, k2, dc2, da2, f1, f2 = rows
+    c1, k1, dc1, da1, c2, k2, dc2, da2, f1, f2 = params
     clamped_c = clamped_kr = 0
     for c, kr in ((c1, k1), (c2, k2)):
         clamped_c += int(np.count_nonzero(c < 0.0))
@@ -261,15 +277,18 @@ def _mc_point(spec: FluctuationSpec, schemes: tuple, c_mean: float, index: int):
 
     rc1, rnc1 = reflection_amplitudes(c1, dc1, da1, k1)
     rc2, rnc2 = reflection_amplitudes(c2, dc2, da2, k2)
-    if live <= _DRAWN.index("phi1"):  # both phases constant: one value, broadcast
-        f1, f2 = f1[:1], f2[:1]
+    if live <= _DRAWN.index("phi1"):  # both phases constant: one value per point, broadcast
+        f1, f2 = f1[:, :1], f2[:, :1]
     stats = [_infidelity_stats(s, rc1, rnc1, rc2, rnc2, f1, f2) for s in schemes]
     return stats, clamped_c, clamped_kr
 
 
 def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
-    """(mean, stderr, skipped) of one scheme's infidelity over the heralded
-    trials, or None if none heralds. Its temporaries die on return."""
+    """One (mean, stderr, skipped) per point (row) of one scheme's
+    infidelity over the heralded trials, or None where none heralds. If
+    every trial of the block heralds, the rows reduce together, else one
+    compressed row at a time: numpy sums each row pairwise either way, as
+    it sums a 1-d array. Its temporaries die on return."""
     import numpy as np
 
     from .entangle import _bell_new_core, _bell_old_core
@@ -286,25 +305,46 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
         with np.errstate(divide="ignore", invalid="ignore"):
             # herald-probability-weighted average over the two branches
             fid = (num_phi + num_psi) / total
-    infid = 1.0 - fid[p_herald >= HERALD_TOL]
-    n_valid = infid.size
-    if n_valid == 0:
-        return None
-    mean = float(np.mean(infid))
-    stderr = float(np.std(infid, ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
-    return mean, stderr, fid.size - n_valid
+    heralded = p_herald >= HERALD_TOL
+    infid = 1.0 - fid
+    if heralded.all():
+        return _row_stats(infid, 0)
+    kept = (row[keep] for row, keep in zip(infid, heralded))
+    return [_row_stats(k[None], infid.shape[1] - k.size)[0] if k.size else None for k in kept]
+
+
+def _row_stats(infid, skipped: int):
+    """(mean, stderr, skipped) of each row of a 2-d array of infidelities."""
+    import numpy as np
+
+    n = infid.shape[1]
+    means = np.mean(infid, axis=1).tolist()
+    errs = (np.std(infid, axis=1, ddof=1) / math.sqrt(n)).tolist() if n > 1 else [0.0] * len(means)
+    return [(m, e, skipped) for m, e in zip(means, errs)]
 
 
 def _moving_average(means, stderrs, window: int):
+    """Centered moving average, cut at the grid's ends. The windows inside
+    the grid reduce as one strided view, bit-equal to one slice each."""
     import numpy as np
 
     means = np.asarray(means, dtype=float)
     squares = np.square(np.asarray(stderrs, dtype=float))
     n = len(means)
+    half = window // 2
+    full = max(0, n - window + 1)  # windows inside the grid, centred on half .. half + full - 1
     out_m = []
     out_e = []
     for i in range(n):
-        lo = max(0, i - window // 2)
+        if i == half and full:
+            # sliding_window_view's views, built at a tenth of its call cost
+            m, s = (np.ndarray((full, window), float, x, strides=x.strides * 2)
+                    for x in (means, squares))
+            out_m += (np.add.reduce(m, axis=1) / window).tolist()  # np.mean's sum and divide
+            out_e += (np.sqrt(np.add.reduce(s, axis=1)) / window).tolist()
+        if half <= i < half + full:
+            continue
+        lo = max(0, i - half)
         hi = min(n, i + (window + 1) // 2)
         out_m.append(float(np.mean(means[lo:hi])))
         out_e.append(float(np.sqrt(np.sum(squares[lo:hi])) / (hi - lo)))
@@ -359,8 +399,10 @@ def mc_infidelity_curve(
     if not math.isfinite(_top(spec, "phi1") + _top(spec, "phi2")):
         raise ValueError("phi1 and phi2 means and sigmas can draw phases whose difference overflows")
 
-    points = list(enumerate(grid))
-    workers = min(_n_threads(), len(points))
+    points = list(enumerate(grid.tolist()))
+    size = max(1, _BLOCK_TRIALS // spec.trials)
+    blocks = [points[i:i + size] for i in range(0, len(points), size)]
+    workers = min(_n_threads(), len(blocks))
     if spec.trials * workers > MAX_TRIALS_IN_FLIGHT:
         raise ValueError(
             f"{spec.trials} trials on {workers} worker(s) exceed the memory bound of "
@@ -370,15 +412,15 @@ def mc_infidelity_curve(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda iv: _mc_point(spec, schemes, iv[1], iv[0]), points))
+            results = list(pool.map(lambda block: _mc_block(spec, schemes, block), blocks))
     else:
-        results = [_mc_point(spec, schemes, c, i) for i, c in points]
+        results = [_mc_block(spec, schemes, block) for block in blocks]
 
     clamped_c = sum(r[1] for r in results)
     clamped_kr = sum(r[2] for r in results)
     curves = []
     for k, name in enumerate(schemes):
-        stats = [r[0][k] for r in results]
+        stats = [st for r in results for st in r[0][k]]
         for c, st in zip(grid, stats):
             if st is None:
                 raise NoHeraldError(

@@ -412,7 +412,7 @@ def test_mc_over_trials_bound_exits_2_before_drawing(tmp_path, capsys, monkeypat
     def no_draws(*args):
         raise AssertionError("a grid point was evaluated")
 
-    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    monkeypatch.setattr(montecarlo, "_mc_block", no_draws)
     code = main(["mc", "--scheme", "both", "--trials", str(10**8), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert "memory bound" in capsys.readouterr().err
@@ -425,7 +425,7 @@ def test_mc_grid_that_could_overflow_exits_2_before_drawing(tmp_path, capsys, mo
     def no_draws(*args):
         raise AssertionError("a grid point was evaluated")
 
-    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    monkeypatch.setattr(montecarlo, "_mc_block", no_draws)
     argv = ["mc", "--scheme", "both", "--cmin", "1", "--cmax", "1e308", "--points", "3",
             "--trials", "100", "--out", str(tmp_path)]
     with warnings.catch_warnings():
@@ -474,7 +474,7 @@ def test_mc_draws_that_could_overflow_exit_2_before_drawing(
     def no_draws(*args):
         raise AssertionError("a grid point was evaluated")
 
-    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    monkeypatch.setattr(montecarlo, "_mc_block", no_draws)
     path = _write_config(tmp_path, spec)
     out = tmp_path / "out"
     argv = ["mc", "--scheme", "both", "--cmax", cmax, "--points", "3", "--trials", "100",

@@ -90,22 +90,25 @@ def test_both_schemes_equal_separate_runs_bit_for_bit(monkeypatch, threads):
 
 def test_both_schemes_reflect_each_cavity_once(monkeypatch):
     monkeypatch.setenv("CAVSIM_THREADS", "1")
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2 * 400)  # blocks of 2, 2 and 1 points
     calls = []
     original = montecarlo.reflection_amplitudes
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args[0].size)
         return original(*args)
 
     monkeypatch.setattr(montecarlo, "reflection_amplitudes", counted)
     grid = np.linspace(1.0, 10.0, 5)
-    mc_infidelity_curve(_small_spec(), "both", grid)
-    assert len(calls) == 2 * grid.size
+    mc_infidelity_curve(_small_spec(trials=400), "both", grid)
+    assert len(calls) == 2 * 3  # once per cavity and block
+    assert sum(calls) == 2 * grid.size * 400  # each trial reflected once per cavity
 
 
-def _point_rows(monkeypatch, spec, c_mean, index):
-    """The ten clamped parameter rows of one _mc_point, in _DRAWN order,
-    and the generator it drew them from."""
+def _block_rows(monkeypatch, spec, block):
+    """The ten clamped parameter rows of each point of one _mc_block, in
+    _DRAWN order, as a (points, rows, trials) array, and the generator
+    the block drew them from."""
     seen, rows = {}, []
     make_generator = np.random.Generator
 
@@ -117,14 +120,16 @@ def _point_rows(monkeypatch, spec, c_mean, index):
         rows.extend(np.copy(x) for x in (c, kr, dc, da))
         return c, c
 
+    def stats(*args):
+        # constant phases reach the kernels as one element per point
+        rows.extend(np.broadcast_to(f, (len(block), spec.trials)) for f in args[-2:])
+
     monkeypatch.setattr(np.random, "Generator", generator)
     monkeypatch.setattr(montecarlo, "reflection_amplitudes", reflect)
-    # constant phases reach the kernels as one element each
-    monkeypatch.setattr(montecarlo, "_infidelity_stats",
-                        lambda *a: rows.extend(np.broadcast_to(f, spec.trials) for f in a[-2:]))
-    montecarlo._mc_point(spec, ("new",), c_mean, index)
+    monkeypatch.setattr(montecarlo, "_infidelity_stats", stats)
+    montecarlo._mc_block(spec, ("new",), block)
     monkeypatch.undo()
-    return np.array(rows), seen["rng"]
+    return np.array(rows).transpose(1, 0, 2), seen["rng"]
 
 
 def _full_draw_rows(spec, c_mean, index):
@@ -164,23 +169,26 @@ _NO_CAVITY_NOISE = {f"cavity{k}_{p}_sigma": 0.0 for k in (1, 2)
 ])
 def test_point_draws_only_the_rows_it_reads(monkeypatch, changes, live):
     spec = replace(_small_spec(trials=500, seed=5), **changes)
-    rows, rng = _point_rows(monkeypatch, spec, 3.0, 7)
-    full = _full_draw_rows(spec, 3.0, 7)
-    assert rows.tobytes() == full.tobytes()
-    for row, name in zip(rows, montecarlo._DRAWN):
-        if getattr(spec, name + "_sigma") == 0.0:
-            mean = 3.0 if name in ("cavity1_c", "cavity2_c") else getattr(spec, name + "_mean")
-            assert np.all(row == mean)
-    # the stream stopped after the drawn rows
-    assert np.array_equal(rng.bit_generator.random_raw(8),
-                          _stream_after(spec, 7, live * spec.trials))
+    for block in ([(7, 3.0)], [(6, 2.5), (7, 3.0), (8, 3.5)]):
+        rows, rng = _block_rows(monkeypatch, spec, block)
+        assert rows.shape == (len(block), 10, spec.trials)
+        for point_rows, (index, c_mean) in zip(rows, block):
+            full = _full_draw_rows(spec, c_mean, index)
+            assert point_rows.tobytes() == full.tobytes()
+            for row, name in zip(point_rows, montecarlo._DRAWN):
+                if getattr(spec, name + "_sigma") == 0.0:
+                    c_row = name in ("cavity1_c", "cavity2_c")
+                    assert np.all(row == (c_mean if c_row else getattr(spec, name + "_mean")))
+        # the last point's stream stopped after the drawn rows
+        assert np.array_equal(rng.bit_generator.random_raw(8),
+                              _stream_after(spec, block[-1][0], live * spec.trials))
 
 
 def test_trials_bound_stops_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a grid point was evaluated")
 
-    monkeypatch.setattr(montecarlo, "_mc_point", no_draws)
+    monkeypatch.setattr(montecarlo, "_mc_block", no_draws)
     monkeypatch.setenv("CAVSIM_THREADS", "1")
     with pytest.raises(ValueError, match="memory bound"):
         mc_infidelity_curve(_small_spec(trials=MAX_TRIALS_IN_FLIGHT + 1), "both", SMALL_GRID)
@@ -232,6 +240,68 @@ def test_moving_average_window():
         assert smooth.stderrs[i] == pytest.approx(expect_err, abs=1e-15)
 
 
+def _slice_average(means, stderrs, window):
+    """The moving average reduced one slice per point."""
+    n = len(means)
+    out_m, out_e = [], []
+    for i in range(n):
+        lo, hi = max(0, i - window // 2), min(n, i + (window + 1) // 2)
+        out_m.append(float(np.mean(means[lo:hi])))
+        out_e.append(float(np.sqrt(np.sum(np.square(stderrs[lo:hi]))) / (hi - lo)))
+    return out_m, out_e
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 50])
+def test_moving_average_strided_windows_equal_slices_bit_for_bit(window):
+    rng = np.random.default_rng(window)
+    for n in sorted({1, window - 1, window, window + 1, 2000} - {0}):
+        means, stderrs = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 1e-3, n)
+        got = montecarlo._moving_average(means.tolist(), stderrs.tolist(), window)
+        want = _slice_average(means, stderrs, window)
+        assert [[x.hex() for x in col] for col in got] == [[x.hex() for x in col] for col in want]
+
+
+_DRAWN_PHASES = {"phi1_sigma": 0.2, "phi2_sigma": 0.1}
+# kappa_ratio ~ N(0.13, 0.1) clamps both cavities to 0 in about one trial
+# of a hundred: the new scheme skips it, so some blocks herald in every
+# trial and others do not
+_SOME_SKIP = {**_DRAWN_PHASES, **{f"cavity{k}_kappa_ratio_{p}": v for k in (1, 2)
+                                  for p, v in (("mean", 0.13), ("sigma", 0.1))}}
+
+
+def _curves(spec, grid):
+    return [mc_infidelity_curve(spec, "new", grid), mc_infidelity_curve(spec, "old", grid),
+            *mc_infidelity_curve(spec, "both", grid)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("changes", [{}, _DRAWN_PHASES, _SOME_SKIP],
+                         ids=["constant-phases", "drawn-phases", "some-skip"])
+def test_results_do_not_depend_on_block_size(monkeypatch, threads, changes):
+    # 7 points of 40 trials: one block by default, else 7 blocks of 1 or 3 + 3 + 1
+    monkeypatch.setenv("CAVSIM_THREADS", threads)
+    spec = replace(_small_spec(trials=40, window=3), **changes)
+    grid = np.linspace(1.0, 10.0, 7)
+    whole = _curves(spec, grid)
+    for points in (1, 3):
+        monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", points * spec.trials)
+        for a, b in zip(whole, _curves(spec, grid)):
+            assert [x.hex() for x in a.means + a.stderrs] == [x.hex() for x in b.means + b.stderrs]
+            assert a.metadata == b.metadata
+    if changes is _SOME_SKIP:  # still in blocks of 3
+        shapes = []
+        row_stats = montecarlo._row_stats
+
+        def spied(infid, skipped):
+            shapes.append(infid.shape)
+            return row_stats(infid, skipped)
+
+        monkeypatch.setattr(montecarlo, "_row_stats", spied)
+        assert mc_infidelity_curve(spec, "new", grid).metadata["skipped_no_herald"] > 0
+        # one curve took both reductions: a whole 3-point block, and single compressed rows
+        assert (3, 40) in shapes and any(n < 40 for _, n in shapes)
+
+
 def test_metadata_reconstructs_run():
     spec = _small_spec()
     res = mc_infidelity_curve(spec, "new", SMALL_GRID)
@@ -271,14 +341,16 @@ def test_default_grid():
 
 @pytest.mark.parametrize("phi1, phi2", [(0.0, 0.0), (0.3, -1.2), (1e3, -1e3)])
 def test_constant_phases_broadcast_from_one_element(phi1, phi2):
-    # where no phase is drawn, _mc_point passes one element of each row
+    # where no phase is drawn, _mc_block passes one element of each point's rows
     rng = np.random.default_rng(17)
-    refl = [reflection_amplitudes(rng.uniform(0.0, 10.0, 2000), rng.normal(0.0, 0.1, 2000),
-                                  rng.normal(0.0, 0.1, 2000), rng.uniform(0.5, 1.0, 2000))
+    shape = (3, 2000)
+    refl = [reflection_amplitudes(rng.uniform(0.0, 10.0, shape), rng.normal(0.0, 0.1, shape),
+                                  rng.normal(0.0, 0.1, shape), rng.uniform(0.5, 1.0, shape))
             for _ in range(2)]
-    f1, f2 = np.full(2000, phi1), np.full(2000, phi2)
+    f1, f2 = np.full(shape, phi1), np.full(shape, phi2)
     full = montecarlo._infidelity_stats("new", *refl[0], *refl[1], f1, f2)
-    assert montecarlo._infidelity_stats("new", *refl[0], *refl[1], f1[:1], f2[:1]) == full
+    assert len(full) == 3
+    assert montecarlo._infidelity_stats("new", *refl[0], *refl[1], f1[:, :1], f2[:, :1]) == full
 
 
 def test_csv_and_json_serialization(tmp_path):
