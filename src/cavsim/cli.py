@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except NoHeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HERALD
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

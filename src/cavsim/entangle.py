@@ -47,40 +47,40 @@ class TwoCavitySetup:
 
 
 def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, phase):
-    """Fidelity numerator and (unnormalized) herald weight; scalars or
-    numpy arrays. phase is exp(i (phi_2 - phi_1)).
+    """Fidelity numerator and herald probability p of the two-node
+    chain; scalars or numpy arrays. phase is exp(i (phi_2 - phi_1)).
 
     The photon picks up (r_c - r_nc)/2 at whichever node it scatters
-    from; the two heralded polarization outcomes have the same fidelity,
-    numerator / weight. The herald probability is weight / 2.
+    from. The chain heralds where p >= HERALD_TOL, and both polarization
+    heralds then have fidelity num / p.
     """
     g1 = 0.5 * (r_c1 - r_nc1)
     g2 = 0.5 * (r_c2 - r_nc2)
-    weight = abs(g1) ** 2 + abs(g2) ** 2
-    num = 0.5 * abs(g2 + g1 * phase) ** 2
-    return num, weight
+    p = 0.5 * (abs(g1) ** 2 + abs(g2) ** 2)
+    num = 0.25 * abs(g2 + g1 * phase) ** 2
+    return num, p
 
 
 def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
-    """Numerators and branch weights of the prior scheme's two heralds.
-
-    A branch's herald probability is its weight / 16 (the two weights
-    sum to 16 for lossless reflections). Scalars or numpy arrays.
+    """Fidelity numerator and herald probability of each of the prior
+    scheme's two heralds: (num_phi, p_phi, num_psi, p_psi). A branch
+    heralds where its p >= HERALD_TOL, with fidelity num / p. Scalars or
+    numpy arrays.
     """
     nn = r_nc2 * r_nc1
     nc = r_nc2 * r_c1
     cn = r_c2 * r_nc1
     cc = r_c2 * r_c1
-    num_phi = 0.5 * abs(2.0 * nn + (nn + cc)) ** 2
-    den_phi = (
+    num_phi = 0.03125 * abs(2.0 * nn + (nn + cc)) ** 2
+    p_phi = 0.0625 * (
         abs(2.0 * nn) ** 2
         + abs(nn + nc) ** 2
         + abs(nn + cn) ** 2
         + abs(nn + cc) ** 2
     )
-    num_psi = 0.5 * abs((nn - nc) + (nn - cn)) ** 2
-    den_psi = abs(nn - nc) ** 2 + abs(nn - cn) ** 2 + abs(nn - cc) ** 2
-    return num_phi, den_phi, num_psi, den_psi
+    num_psi = 0.03125 * abs((nn - nc) + (nn - cn)) ** 2
+    p_psi = 0.0625 * (abs(nn - nc) ** 2 + abs(nn - cn) ** 2 + abs(nn - cc) ** 2)
+    return num_phi, p_phi, num_psi, p_psi
 
 
 def atom_atom_new(setup: TwoCavitySetup) -> float:
@@ -94,10 +94,10 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     p1 = reflection_lossy(setup.cavity_1)
     p2 = reflection_lossy(setup.cavity_2)
     phase = cmath.exp(1j * (_reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)))
-    num, weight = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
-    if 0.5 * weight < HERALD_TOL:
+    num, p = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
+    if p < HERALD_TOL:
         raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
-    return _unit_interval(num / weight)
+    return _unit_interval(num / p)
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,19 @@ def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     """Bell fidelities of both heralds for the prior scheme."""
     p1 = reflection_lossy(setup.cavity_1)
     p2 = reflection_lossy(setup.cavity_2)
-    num_phi, den_phi, num_psi, den_psi = _bell_old_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc)
-    total = den_phi + den_psi
-    if total / 16.0 < HERALD_TOL:
+    num_phi, p_phi, num_psi, p_psi = _bell_old_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc)
+    total = p_phi + p_psi
+    if total < HERALD_TOL:
         raise NoHeraldError("all branch amplitudes (nearly) vanish; nothing heralds")
     fid_phi, fid_psi = (
-        _unit_interval(num / den) if den / 16.0 >= HERALD_TOL else 0.0
-        for num, den in ((num_phi, den_phi), (num_psi, den_psi))
+        _unit_interval(num / p) if p >= HERALD_TOL else 0.0
+        for num, p in ((num_phi, p_phi), (num_psi, p_psi))
     )
     return OldEntangleResult(
         phi_plus_fidelity=fid_phi,
         psi_plus_fidelity=fid_psi,
-        phi_plus_weight=float(den_phi / total),
-        psi_plus_weight=float(den_psi / total),
+        phi_plus_weight=p_phi / total,
+        psi_plus_weight=p_psi / total,
     )
 
 
@@ -158,7 +158,7 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
     if survived < HERALD_TOL:
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2
-    return TwoAtomEstimate(fidelity=_unit_interval(num / survived), p_loss=float(p_loss))
+    return TwoAtomEstimate(fidelity=_unit_interval(num / survived), p_loss=p_loss)
 
 
 def two_atoms_one_cavity(p: CavityParams) -> TwoAtomEstimate:

@@ -186,8 +186,6 @@ def write_json(payload, fh) -> None:
 
 
 def _rounded(obj):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -294,19 +292,14 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
     from .entangle import _bell_new_core, _bell_old_core
 
     if scheme == "new":
-        num, weight = _bell_new_core(rc1, rnc1, rc2, rnc2, np.exp(1j * (f2 - f1)))
-        p_herald = 0.5 * weight
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fid = num / weight
+        num, p_herald = _bell_new_core(rc1, rnc1, rc2, rnc2, np.exp(1j * (f2 - f1)))
     else:
-        num_phi, den_phi, num_psi, den_psi = _bell_old_core(rc1, rnc1, rc2, rnc2)
-        total = den_phi + den_psi
-        p_herald = total / 16.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # herald-probability-weighted average over the two branches
-            fid = (num_phi + num_psi) / total
+        # herald-probability-weighted average over the two branches
+        num_phi, p_phi, num_psi, p_psi = _bell_old_core(rc1, rnc1, rc2, rnc2)
+        num, p_herald = num_phi + num_psi, p_phi + p_psi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        infid = 1.0 - num / p_herald
     heralded = p_herald >= HERALD_TOL
-    infid = 1.0 - fid
     if heralded.all():
         return _row_stats(infid, 0)
     kept = (row[keep] for row, keep in zip(infid, heralded))

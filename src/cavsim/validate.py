@@ -79,8 +79,8 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         if self.mode == "at_least":
-            return bool(self.value >= self.reference - self.tolerance)
-        return bool(abs(self.value - self.reference) <= self.tolerance)
+            return self.value >= self.reference - self.tolerance
+        return abs(self.value - self.reference) <= self.tolerance
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -107,6 +107,16 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_key_error_is_a_bug_not_a_config_error(monkeypatch):
+    # no config or flag value raises KeyError, so one is a bug and escapes main
+    def broken(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "_merged_config", broken)
+    with pytest.raises(KeyError):
+        main("gate --scheme new".split())
+
+
 def test_out_of_range_parameter_is_a_config_error(capsys):
     assert main("gate --scheme new --zeta 1.5".split()) == EXIT_CONFIG_ERROR
     capsys.readouterr()

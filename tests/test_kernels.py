@@ -1,6 +1,9 @@
 """The four closed-form kernels take Python scalars (the gate and the
-entanglement functions) and numpy arrays (the Monte Carlo and the
-Gauss-Legendre references). Both evaluations must agree elementwise."""
+entanglement functions) and numpy arrays: the Monte Carlo uses only the
+two Bell kernels, and the array form of the gate kernels serves the
+Gauss-Legendre references. Both evaluations must agree elementwise, and
+every outcome's fidelity numerator and herald probability p satisfy
+0 <= num <= p <= 1."""
 
 import itertools
 import math
@@ -100,10 +103,27 @@ def test_bell_old_core_arrays_match_scalars(cloud):
     _assert_elementwise(arrays, [_bell_old_core(*row) for row in rows])
 
 
+def test_bell_kernels_return_probabilities(cloud):
+    x = cloud
+    num, p = _bell_new_core(x["r_c"], x["r_nc"], x["r_c2"], x["r_nc2"], x["phase"])
+    num_phi, p_phi, num_psi, p_psi = _bell_old_core(x["r_c"], x["r_nc"], x["r_c2"], x["r_nc2"])
+    for n, q in ((num, p), (num_phi, p_phi), (num_psi, p_psi)):
+        assert np.all(q >= 0.0)
+        assert np.all(n <= q * (1.0 + 1e-12))
+    assert np.all(p <= 1.0)
+    assert np.all(p_phi + p_psi <= 1.0 + 1e-12)
+
+
+def test_old_branches_sum_to_one_for_lossless_reflections():
+    phases = np.random.default_rng(43).uniform(-4.0, 4.0, (4, 10**5))
+    _, p_phi, _, p_psi = _bell_old_core(*np.exp(1j * phases))
+    assert np.max(np.abs(p_phi + p_psi - 1.0)) <= 1e-15
+
+
 def test_cloud_reaches_the_edges(cloud):
     # exact zeros among the kernels' inputs: r_nc at critical coupling on
-    # resonance, g where r_c = r_nc (no atom), and a two-node herald weight
+    # resonance, g where r_c = r_nc (no atom), and a two-node herald probability
     assert np.any(cloud["r_nc"] == 0.0)
     assert np.any(cloud["r_c"] == cloud["r_nc"])
-    _, weight = _bell_new_core(cloud["r_c"], cloud["r_nc"], cloud["r_c2"], cloud["r_nc2"], 1.0)
-    assert np.any(weight == 0.0)
+    _, p = _bell_new_core(cloud["r_c"], cloud["r_nc"], cloud["r_c2"], cloud["r_nc2"], 1.0)
+    assert np.any(p == 0.0)
