@@ -441,6 +441,19 @@ def test_prepare_validation():
             ReflectionPair.ideal(),
             coupling="nonsense",
         )
+    # the coupling name is checked before zeta
+    with pytest.raises(ValueError, match="unknown coupling"):
+        apply_scattering(
+            prepare_photon_atom({"H": 1.0}, (1.0, 0.0)),
+            "in",
+            ReflectionPair.ideal(),
+            zeta=1.5,
+            coupling="nonsense",
+        )
+    with pytest.raises(ValueError, match=r"zeta must lie in \[0, 1\]"):
+        apply_scattering(
+            prepare_photon_atom({"H": 1.0}, (1.0, 0.0)), "in", ReflectionPair.ideal(), zeta=1.5
+        )
 
 
 def test_nan_fails_the_oracle_checks():

@@ -2,8 +2,9 @@
 
 Each element's output state and each runner's result on fixed inputs is
 compared, as `float.hex`, with values recorded from the oracle before its
-elements shared one loop. A refactor of the oracle must leave all of them
-unchanged. `p_h_reject` is left out: it is defined as a conditional
+elements shared one loop (the "single" coupling on atom bit 1 was recorded
+before the coupling became a table). A refactor of the oracle must leave
+all of them unchanged. `p_h_reject` is left out: it is defined as a conditional
 probability whose denominator is checked against mpmath in
 `test_oracle.py`.
 """
@@ -66,6 +67,7 @@ ELEMENTS = {
     "phase": lambda s, p, q: apply_phase(s, p, -2.3),
     "attenuator": lambda s, p, q: apply_attenuator(s, p, 0.6),
     "scattering": lambda s, p, q: apply_scattering(s, p, REFL_2, 0.8, -1.2, "single", 0),
+    "scattering_bit_1": lambda s, p, q: apply_scattering(s, p, REFL_2, 0.8, -1.2, "single", 1),
     "herald": lambda s, p, q: herald(s, {p, q}),
     "measure_polarization": lambda s, p, q: measure_polarization(s, p, "V"),
 }
@@ -170,6 +172,24 @@ H b x 0 0x1.ea53b462c44d4p-4 -0x1.2cb59d2713896p-4
 V b mm 3 0x1.1ac9d0a9798b9p-2 0x1.790d16374cba2p-3
 V b mx 3 0x1.162f097f70b21p-3 -0x1.86831de5d3148p-4
 p 0x1.ab55f3f053246p-3""",
+    ("hand", "scattering_bit_1"): """\
+H in m 0 -0x1.2d7519427183bp-3 -0x1.28c63b4063ff1p-2
+V in m 0 0x0.0p+0 0x0.0p+0
+H in x 0 -0x1.53ad99011a92cp-5 -0x1.51a5164b27ad3p-3
+H in m 1 0x0.0p+0 0x0.0p+0
+V in m 1 0x1.0c77fb1d53fcfp-2 0x1.16d4578e9cf0cp-2
+V in x 1 0x1.a2569123d4f7ap-4 0x1.5aa4bab30597ep-3
+H in mm 2 0x1.3946bd7a31a44p-2 -0x1.1557ec910b1b8p-8
+V in mm 2 -0x1.03e6a2d739051p-4 0x1.8b9b0246907fcp-4
+H in mx 2 0x1.99bc06a7e84fbp-3 -0x1.195e2097d05d0p-7
+H in xm 3 -0x1.4e4435c8466d0p-6 -0x1.69a9ce519e5aep-4
+V in xm 3 -0x1.4e746c370f662p-3 0x1.680058bd774d1p-3
+V in xx 3 -0x1.a7eacad6499a8p-4 0x1.e3c1ac9cca8adp-4
+H b m 0 0x1.c9f25c5bfedd9p-3 0x1.5c0a1d3bad37cp-3
+H b x 0 0x1.ea53b462c44d4p-4 -0x1.2cb59d2713896p-4
+V b mm 3 0x1.1ac9d0a9798b9p-2 0x1.790d16374cba2p-3
+V b mx 3 0x1.162f097f70b21p-3 -0x1.86831de5d3148p-4
+p 0x1.ad669e2c8b8b6p-3""",
     ("hand", "herald"): """\
 H in - 0 0x1.4e9c73ae44b7fp-2 -0x1.daee93ad06b27p-3
 V in - 1 -0x1.236f7d87441c1p-2 0x1.79c969d54553cp-2
@@ -342,6 +362,52 @@ V byp mx 3 -0x1.43efd3c68d915p-3 -0x1.f7c294720ab1ep-5
 V byp xm 3 0x1.68eb9a017db3dp-5 -0x1.aad412fe321a0p-4
 V byp xx 3 -0x1.4c6dfc1135cc6p-5 -0x1.42dc4a3f09974p-5
 p 0x1.8f0a24c672ce3p-3""",
+    ("chain", "scattering_bit_1"): """\
+H cav mm 0 0x1.53265bfd8788bp-4 -0x1.06c9c3e5b062cp-5
+V cav mm 0 -0x1.2acee4c8d610bp-5 -0x1.250dec2b6fd1bp-3
+H cav mx 0 0x1.7861e07def0b8p-5 -0x1.bafc65413f66ap-8
+V cav mx 0 -0x1.07a5837810ef8p-9 -0x1.3c38c30d31c19p-4
+H cav xm 0 0x1.59ccc73ce9c7ep-5 -0x1.1bc10c771cc74p-4
+V cav xm 0 0x0.0p+0 0x0.0p+0
+H cav xx 0 0x1.e44a6f5e8e62cp-6 -0x1.f2a4fa19d0b27p-6
+H cav mm 1 -0x1.06c9c3e5b062cp-5 -0x1.53265bfd8788bp-4
+V cav mm 1 -0x1.250dec2b6fd1bp-3 0x1.2acee4c8d610bp-5
+H cav mx 1 -0x1.bafc65413f66ap-8 -0x1.7861e07def0b8p-5
+V cav mx 1 -0x1.3c38c30d31c19p-4 0x1.07a5837810ef8p-9
+H cav xm 1 -0x1.1bc10c771cc74p-4 -0x1.59ccc73ce9c7ep-5
+V cav xm 1 0x0.0p+0 0x0.0p+0
+H cav xx 1 -0x1.f2a4fa19d0b27p-6 -0x1.e44a6f5e8e62cp-6
+H cav mm 2 0x1.80182e209fa4fp-5 0x1.c328e326eb860p-8
+V cav mm 2 -0x1.efcd7086878aep-4 0x1.32e70fe42c9e4p-4
+H cav mx 2 0x1.0e20c40548f79p-5 0x1.0be1c5997414bp-5
+V cav mx 2 -0x1.f011698d68932p-5 0x1.88a5fd6f6fc12p-5
+H cav xm 2 0x1.06474e6ec85eap-4 0x1.4ac556159e7fep-7
+V cav xm 2 -0x1.11dbdd3e53262p-6 0x1.251d8a2d9e44bp-6
+H cav xx 2 0x1.58beb8a6b1650p-5 0x1.60fbd8f09f8fap-8
+H cav mm 3 -0x1.139298caaa8a4p-5 0x1.11704710c7a70p-5
+V cav mm 3 0x1.9face99e39d9ap-7 -0x1.22644b60aa00ap-3
+H cav mx 3 -0x1.7861e07def0b8p-5 0x1.bafc65413f66ap-8
+V cav mx 3 -0x1.07a5837810ef8p-9 -0x1.3c38c30d31c19p-4
+H cav xm 3 -0x1.7ce36f561024cp-5 0x1.7207b09468d11p-5
+V cav xm 3 -0x1.18b540c932e70p-8 -0x1.8af4d0b3a17aep-6
+H cav xx 3 -0x1.e44a6f5e8e62cp-6 0x1.f2a4fa19d0b27p-6
+V byp mm 0 0x0.0p+0 0x1.5b8e9fbff43a6p-2
+V byp mx 0 0x1.43efd3c68d915p-3 0x1.f7c294720ab1ep-5
+V byp xm 0 -0x1.68eb9a017db3dp-5 0x1.aad412fe321a0p-4
+V byp xx 0 0x1.4c6dfc1135cc6p-5 0x1.42dc4a3f09974p-5
+V byp mm 1 0x1.5b8e9fbff43a6p-2 0x0.0p+0
+V byp mx 1 0x1.f7c294720ab1ep-5 -0x1.43efd3c68d915p-3
+V byp xm 1 0x1.aad412fe321a0p-4 0x1.68eb9a017db3dp-5
+V byp xx 1 0x1.42dc4a3f09974p-5 -0x1.4c6dfc1135cc6p-5
+V byp mm 2 -0x1.160bb2fff6952p-2 0x1.a1118c7ff1df9p-3
+V byp mx 2 0x1.7670b8b47e67dp-5 0x1.4eb6a61659422p-3
+V byp xm 2 -0x1.c1bd23cbcdcadp-4 0x1.beea6a5faf1e8p-6
+V byp xx 2 -0x1.d6a52140d4c06p-8 0x1.cba8f63397317p-5
+V byp mm 3 0x0.0p+0 -0x1.5b8e9fbff43a6p-2
+V byp mx 3 -0x1.43efd3c68d915p-3 -0x1.f7c294720ab1ep-5
+V byp xm 3 0x1.68eb9a017db3dp-5 -0x1.aad412fe321a0p-4
+V byp xx 3 -0x1.4c6dfc1135cc6p-5 -0x1.42dc4a3f09974p-5
+p 0x1.8b8fdabffa7b4p-3""",
     ("chain", "herald"): """\
 H cav m 0 0x1.cb17e99a1e478p-5 0x1.93d6ebb34223ap-4
 V cav m 0 0x1.643a881535063p-3 -0x1.2a936aa5fc463p-4
