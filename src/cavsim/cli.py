@@ -106,9 +106,9 @@ def _merged_config(args, path, defaults: dict) -> dict:
     merged = dict(defaults)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"config {path}: invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ValueError(f"config {path}: expected a flat JSON object")

@@ -16,10 +16,13 @@ amplitudes never re-enter a path, so nothing else needs them. Every
 element checks that the optical norm plus `discarded` stays at 1.
 
 The linear elements (PBS, wave plates, phase, attenuator) are tables
-that one loop, `_linear`, applies; cavity scattering has its own loop.
-Each builds the new dict in the order of the old one's labels, drops
-zero amplitudes, and adds amplitudes that land on the same label
-coherently, so every sum over a state runs in one fixed order.
+that one loop, `_linear`, applies; cavity scattering has its own loop,
+which reads the H/V <-> sigma+/- change of basis from one table,
+`_SIGMA`, and the (sigma, atom bit) pairs that see r_c from another,
+`_COUPLED`. Each loop builds the new dict in the order of the old one's
+labels, drops zero amplitudes, and adds amplitudes that land on the
+same label coherently, so every sum over a state runs in one fixed
+order.
 
 None of this shares code with the closed forms in `analytic`, so the
 agreement tests between the two are a genuine cross-check.
@@ -65,9 +68,12 @@ CONSERVATION_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# H/V decomposition onto (sigma+, sigma-) and back.
-_POL_TO_SIGMA = {"H": (_SQRT_HALF, _SQRT_HALF), "V": (_SQRT_HALF, -_SQRT_HALF)}
-_SIGMA_TO_POL = ({"H": _SQRT_HALF, "V": _SQRT_HALF}, {"H": _SQRT_HALF, "V": -_SQRT_HALF})
+# <sigma|pol> for sigma = 0 (sigma+), 1 (sigma-): real and symmetric, so
+# the same table takes sigma back to H/V, <pol|sigma> = <sigma|pol>.
+_SIGMA = {"H": (_SQRT_HALF, _SQRT_HALF), "V": (_SQRT_HALF, -_SQRT_HALF)}
+
+# the (sigma, atom bit) pairs that see r_c under each coupling; the rest see r_nc
+_COUPLED = {"degenerate": ((0, 0), (1, 1)), "single": ((0, 1),)}
 
 
 @dataclass
@@ -181,15 +187,6 @@ def apply_attenuator(state: NetworkState, path: str, amplitude: float) -> Networ
     return _linear(state, path, kept, math.sqrt(1.0 - amplitude * amplitude))
 
 
-def _coupled(coupling: str, sigma: int, bit: int) -> bool:
-    # sigma: 0 for sigma+, 1 for sigma-.
-    if coupling == "degenerate":
-        return sigma == bit
-    if coupling == "single":
-        return sigma == 0 and bit == 1
-    raise ValueError(f"unknown coupling {coupling!r}")
-
-
 def apply_scattering(
     state: NetworkState,
     path: str,
@@ -207,7 +204,7 @@ def apply_scattering(
     scatters, the mismatched part reflects unchanged. Scattering sends
     each sigma component to r * sigma plus sqrt(1-|r|^2) into its own
     loss branch (sigma, mode, atom), which H and V feed coherently and
-    which is discarded; r is picked by the coupling map:
+    which is discarded; r is picked by the coupling map, `_COUPLED`:
 
     * "degenerate": sigma+ with atom |0> and sigma- with atom |1> see
       r_c; the cross combinations see r_nc (the MZI gate's cavity).
@@ -216,17 +213,13 @@ def apply_scattering(
     atom_bit selects which atomic qubit sits in this cavity when the
     state carries more than one.
     """
-    t_c = math.sqrt(refl.t_c_sq)
-    t_nc = math.sqrt(refl.t_nc_sq)
-    # the (reflection, loss) amplitudes that each (sigma, atom bit) sees;
-    # this validates the coupling name first
-    seen = {
-        (sigma, bit): (refl.r_c, t_c) if _coupled(coupling, sigma, bit) else (refl.r_nc, t_nc)
-        for sigma in (0, 1)
-        for bit in (0, 1)
-    }
+    if coupling not in _COUPLED:  # checked before zeta
+        raise ValueError(f"unknown coupling {coupling!r}")
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
+    coupled = _COUPLED[coupling]
+    t_c = math.sqrt(refl.t_c_sq)
+    t_nc = math.sqrt(refl.t_nc_sq)
     split = zeta < 1.0
     w_match = math.sqrt(zeta)
     w_mis = math.sqrt(1.0 - zeta) * cmath.exp(1j * _reduce_phase(theta))
@@ -240,21 +233,17 @@ def apply_scattering(
         bit = (atom >> atom_bit) & 1
         for md, amp, hits_cavity in parts:
             if not hits_cavity:
-                pairs = [((pol, pth, md, atom), amp)]
-            else:
-                pairs = []
-                for sigma in (0, 1):
-                    cs = _POL_TO_SIGMA[pol][sigma] * amp
-                    r, t = seen[sigma, bit]
-                    if r != 0:
-                        back = _SIGMA_TO_POL[sigma]
-                        pairs.append((("H", pth, md, atom), cs * r * back["H"]))
-                        pairs.append((("V", pth, md, atom), cs * r * back["V"]))
-                    key = (sigma, md, atom)
-                    lost[key] = lost.get(key, 0j) + cs * t
-            for nl, na in pairs:
-                if na != 0j:
-                    out[nl] = out.get(nl, 0j) + na
+                if amp != 0j:
+                    out[pol, pth, md, atom] = out.get((pol, pth, md, atom), 0j) + amp
+                continue
+            for sigma in (0, 1):
+                cs = _SIGMA[pol][sigma] * amp
+                r, t = (refl.r_c, t_c) if (sigma, bit) in coupled else (refl.r_nc, t_nc)
+                if r != 0:
+                    for back in ("H", "V"):
+                        if (na := cs * r * _SIGMA[back][sigma]) != 0j:
+                            out[back, pth, md, atom] = out.get((back, pth, md, atom), 0j) + na
+                lost[sigma, md, atom] = lost.get((sigma, md, atom), 0j) + cs * t
     return _with_amps(state, out, lost.values())
 
 
@@ -447,15 +436,12 @@ def run_remote_new(
     heralded, p_det = herald(st, {out2})
     if heralded is None:
         return RemoteEntangleResult(None, None, 0.0, 0.0, p_det, no_herald=True)
-    fid_v = prob_v = fid_h = prob_h = 0.0
-    st_v, pv = measure_polarization(heralded, out2, "V")
-    if st_v is not None:
-        bell_v = {("V", 0): _SQRT_HALF, ("V", 3): _SQRT_HALF}
-        fid_v = fidelity_against(st_v, bell_v, out2)
-        prob_v = p_det * pv
-    st_h, ph = measure_polarization(heralded, out2, "H")
-    if st_h is not None:
-        bell_h = {("H", 1): _SQRT_HALF, ("H", 2): _SQRT_HALF}
-        fid_h = fidelity_against(st_h, bell_h, out2)
-        prob_h = p_det * ph
-    return RemoteEntangleResult(fid_v, fid_h, prob_v, prob_h, p_det)
+    fid, prob = {}, {}
+    for pol, targets in (("V", (0, 3)), ("H", (1, 2))):  # the Bell target's atom indices
+        fid[pol] = prob[pol] = 0.0
+        st_pol, p_pol = measure_polarization(heralded, out2, pol)
+        if st_pol is not None:
+            bell = {(pol, idx): _SQRT_HALF for idx in targets}
+            fid[pol] = fidelity_against(st_pol, bell, out2)
+            prob[pol] = p_det * p_pol
+    return RemoteEntangleResult(fid["V"], fid["H"], prob["V"], prob["H"], p_det)

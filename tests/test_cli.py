@@ -7,7 +7,7 @@ import platform
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,23 @@ def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
     code = main("gate --scheme new --c 4 --kr 0.916 --oracle".split())
     assert code == EXIT_VALIDATION_FAILED
     assert "oracle heralds nothing" in capsys.readouterr().err
+
+
+def test_oracle_deviation_is_a_validation_failure(monkeypatch, capsys, tmp_path):
+    from cavsim import oracle
+
+    real_oracle = oracle.run_cz_new
+
+    def deviating_oracle(*args, **kwargs):
+        res = real_oracle(*args, **kwargs)
+        return replace(res, fidelity=res.fidelity - 1e-9)
+
+    monkeypatch.setattr("cavsim.oracle.run_cz_new", deviating_oracle)
+    out = tmp_path / "out"
+    code = main(f"gate --scheme new --c 4 --kr 0.916 --oracle --out {out}".split())
+    assert code == EXIT_VALIDATION_FAILED
+    assert "oracle deviates from the closed form by 1.000e-09" in capsys.readouterr().err
+    assert not (out / "gate.json").exists()
 
 
 def test_sweep_where_almost_nothing_reflects_exits_0(tmp_path, capsys):
@@ -601,17 +618,22 @@ def test_non_integral_count_in_spec_exits_2(tmp_path, capsys, key, value):
         ('{"cavity1_kappa_ratio_mean": NaN}', "cavity1_kappa_ratio_mean must be finite, got nan"),
         ('{"phi2_sigma": Infinity}', "phi2_sigma must be finite, got inf"),
         ('{"cavity2_c_mean": "-4"}', "cavity2_c_mean must be positive"),
+        ('{"trials": 4', "config {spec}: invalid JSON"),
+        ("[1, 2]", "config {spec}: expected a flat JSON object"),
+        (b'\xff\xfe{"trials": 4}', "config {spec}: invalid JSON ('utf-8' codec can't decode"),
     ],
-    ids=["negative-sigma", "nan-mean", "inf-sigma", "negative-c-mean"],
+    ids=["negative-sigma", "nan-mean", "inf-sigma", "negative-c-mean", "truncated", "list",
+         "not-utf8"],
 )
 def test_bad_spec_value_exits_2_naming_the_key(tmp_path, capsys, spec_json, message):
     spec = tmp_path / "spec.json"
-    spec.write_text(spec_json)  # json.load accepts the NaN and Infinity tokens
+    # json.load accepts the NaN and Infinity tokens
+    spec.write_bytes(spec_json if isinstance(spec_json, bytes) else spec_json.encode())
     out = tmp_path / "out"
     code = main(["mc", "--scheme", "new", "--spec", str(spec), "--points", "2", "--trials", "50",
                  "--out", str(out)])
     assert code == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {message.format(spec=spec)}")
     assert not out.exists()
 
 

@@ -143,6 +143,12 @@ def test_no_herald_where_the_weight_is_exactly_zero():
     assert refl.r_c == refl.r_nc
     with pytest.raises(NoHeraldError):
         atom_atom_new(TwoCavitySetup(empty, empty, 0.3, -0.2))
+    # critical coupling without an atom: r_c = r_nc = 0, so both of the
+    # old scheme's branch probabilities are exactly 0
+    dark = CavityParams(c=0.0, kappa_ratio=0.5)
+    assert reflection_lossy(dark).r_c == reflection_lossy(dark).r_nc == 0
+    with pytest.raises(NoHeraldError):
+        atom_atom_old(TwoCavitySetup(dark, dark))
 
 
 @pytest.mark.parametrize("kappa_ratio", [1e-6, 2e-6])

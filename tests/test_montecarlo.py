@@ -2,6 +2,7 @@
 scheduling, clamp accounting, smoothing, and the deterministic sweeps."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -320,6 +321,11 @@ def test_spec_validation():
         standard_fluctuation_spec(sigma_phi=float("nan"))
     with pytest.raises(ValueError, match="^cavity1_c_mean must be positive"):
         FluctuationSpec(cavity1_c_mean=0.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="^seed must fit in a uint64$"):
+            FluctuationSpec(seed=seed)
+    with pytest.raises(ValueError, match="^window must be >= 1$"):
+        FluctuationSpec(window=0)
     spec = standard_fluctuation_spec()
     with pytest.raises(ValueError):
         mc_infidelity_curve(spec, "fancy", SMALL_GRID)
@@ -374,6 +380,16 @@ def test_csv_and_json_serialization(tmp_path):
     # 12 significant digits survive the file boundary
     assert doc["rows"][0][1] == pytest.approx(res.means[0], rel=1e-11)
     assert doc["metadata"]["seed"] == 99
+
+    # stray numpy scalars write as the Python values they hold
+    def written(payload):
+        buf = io.StringIO()
+        write_json(payload, buf)
+        return buf.getvalue()
+
+    assert written({"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True)}) == written(
+        {"x": 0.1, "n": 3, "ok": True}
+    )
 
 
 def test_write_json_rejects_nan(tmp_path):

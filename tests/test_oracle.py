@@ -406,6 +406,9 @@ def test_fidelity_against_traces_mode_sectors():
     amps2[("H", "out", ("x",), 0)] = complex(math.sqrt(0.5))
     fid2 = fidelity_against(NetworkState(amps=amps2), {("H", 0): 1.0}, "out")
     assert fid2 == pytest.approx(fid, abs=1e-12)
+    # light on another path is not scored
+    amps2[("H", "elsewhere", ("m",), 0)] = complex(1.0)
+    assert fidelity_against(NetworkState(amps=amps2), {("H", 0): 1.0}, "out") == fid2
 
 
 @pytest.mark.parametrize(
