@@ -36,11 +36,13 @@ __all__ = [
     "avg_success",
 ]
 
-# The one no-herald rule of the package: an outcome whose herald
-# (detection) probability is below HERALD_TOL does not herald, and its
-# fidelity is undefined. It applies to probabilities, never to
-# unnormalized weights.
 HERALD_TOL = 1e-12
+
+
+def _heralds(p):
+    """The one herald rule: p, a herald probability (never a weight) or an array of them,
+    heralds unless p < HERALD_TOL; a NaN heralds, so the [0, 1] rule raises on it."""
+    return (p < HERALD_TOL) ^ True  # "not", elementwise on arrays too
 
 
 class NoHeraldError(RuntimeError):
@@ -190,8 +192,8 @@ def cz_new_from_reflections(
     num, success, p_loss, raw_h, survival = _new_core(
         refl.r_c, refl.r_nc, zeta, a2, b2, phase, v_attenuation
     )
-    p_h = raw_h / survival if survival > HERALD_TOL else 0.0
-    if success < HERALD_TOL:
+    p_h = raw_h / survival if _heralds(survival) else 0.0
+    if not _heralds(success):
         return GateResult(None, success, p_loss, p_h, no_herald=True)
     g = 0.5 * (refl.r_c - refl.r_nc)
     v_amp = math.sqrt((v_attenuation**2) * a2 / success)
@@ -249,7 +251,7 @@ def cz_old_from_reflections(
     ap2, bp2 = abs(state.alpha_p) ** 2, abs(state.beta_p) ** 2
     aa2, ba2 = abs(state.alpha) ** 2, abs(state.beta) ** 2
     num, success, p_loss = _old_core(refl.r_c, refl.r_nc, zeta, ap2, bp2, aa2, ba2)
-    if success < HERALD_TOL:
+    if not _heralds(success):
         return GateResult(None, success, p_loss, 0.0, no_herald=True)
     return GateResult(
         fidelity=num / success,
@@ -394,7 +396,7 @@ def avg_fidelity_old(p: CavityParams) -> float:
         hi = min(hi, (d0 - HERALD_TOL) / d1)
     elif d1 < 0.0:
         lo = max(lo, (d0 - HERALD_TOL) / d1)
-    elif d0 < HERALD_TOL:
+    elif not _heralds(d0):
         hi = lo
     if hi <= lo:
         raise NoHeraldError("gate heralds nowhere on the Bloch sphere")

@@ -14,7 +14,7 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analytic import HERALD_TOL, NoHeraldError, _reduce_phase, _unit_interval
+from .analytic import NoHeraldError, _heralds, _reduce_phase, _unit_interval
 from .cavity import CavityParams, ReflectionPair, reflection_lossy
 
 __all__ = [
@@ -51,7 +51,7 @@ def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, phase):
     chain; scalars or numpy arrays. phase is exp(i (phi_2 - phi_1)).
 
     The photon picks up (r_c - r_nc)/2 at whichever node it scatters
-    from. The chain heralds where p >= HERALD_TOL, and both polarization
+    from. The chain heralds where _heralds(p), and both polarization
     heralds then have fidelity num / p.
     """
     g1 = 0.5 * (r_c1 - r_nc1)
@@ -63,9 +63,9 @@ def _bell_new_core(r_c1, r_nc1, r_c2, r_nc2, phase):
 
 def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
     """Fidelity numerator and herald probability of each of the prior
-    scheme's two heralds: (num_phi, p_phi, num_psi, p_psi). A branch
-    heralds where its p >= HERALD_TOL, with fidelity num / p. Scalars or
-    numpy arrays.
+    scheme's two heralds, (num_phi, p_phi, num_psi, p_psi); scalars or
+    numpy arrays. Each branch is its own herald: its fidelity is num / p
+    where _heralds(p), and its num and p are 0 where not.
     """
     nn = r_nc2 * r_nc1
     nc = r_nc2 * r_c1
@@ -80,7 +80,8 @@ def _bell_old_core(r_c1, r_nc1, r_c2, r_nc2):
     )
     num_psi = 0.03125 * abs((nn - nc) + (nn - cn)) ** 2
     p_psi = 0.0625 * (abs(nn - nc) ** 2 + abs(nn - cn) ** 2 + abs(nn - cc) ** 2)
-    return num_phi, p_phi, num_psi, p_psi
+    h_phi, h_psi = _heralds(p_phi), _heralds(p_psi)
+    return num_phi * h_phi, p_phi * h_phi, num_psi * h_psi, p_psi * h_psi
 
 
 def atom_atom_new(setup: TwoCavitySetup) -> float:
@@ -95,7 +96,7 @@ def atom_atom_new(setup: TwoCavitySetup) -> float:
     p2 = reflection_lossy(setup.cavity_2)
     phase = cmath.exp(1j * (_reduce_phase(setup.phi_2) - _reduce_phase(setup.phi_1)))
     num, p = _bell_new_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc, phase)
-    if p < HERALD_TOL:
+    if not _heralds(p):
         raise NoHeraldError("r_c and r_nc (nearly) coincide at both nodes; nothing heralds")
     return _unit_interval(num / p)
 
@@ -106,8 +107,9 @@ class OldEntangleResult:
 
     The phi+ herald targets (|00> + |11>)/sqrt(2), the psi+ herald
     targets (|01> + |10>)/sqrt(2); for an H photon in the oracle's
-    conventions they are its H and V outcomes. Weights are the two branch
-    probabilities normalized to sum to one.
+    conventions they are its H and V outcomes. Weights are the heralded
+    branches' probabilities normalized to sum to one; a branch that does
+    not herald reports fidelity 0.0 and weight 0.0.
     """
 
     phi_plus_fidelity: float
@@ -121,11 +123,11 @@ def atom_atom_old(setup: TwoCavitySetup) -> OldEntangleResult:
     p1 = reflection_lossy(setup.cavity_1)
     p2 = reflection_lossy(setup.cavity_2)
     num_phi, p_phi, num_psi, p_psi = _bell_old_core(p1.r_c, p1.r_nc, p2.r_c, p2.r_nc)
-    total = p_phi + p_psi
-    if total < HERALD_TOL:
-        raise NoHeraldError("all branch amplitudes (nearly) vanish; nothing heralds")
+    total = p_phi + p_psi  # 0 where no branch heralds: the kernel zeroes those
+    if not _heralds(total):
+        raise NoHeraldError("neither polarization branch heralds")
     fid_phi, fid_psi = (
-        _unit_interval(num / p) if p >= HERALD_TOL else 0.0
+        _unit_interval(num / p) if _heralds(p) else 0.0
         for num, p in ((num_phi, p_phi), (num_psi, p_psi))
     )
     return OldEntangleResult(
@@ -155,7 +157,7 @@ def two_atoms_one_cavity_from_reflections(refl: ReflectionPair, zeta: float) -> 
     p_loss = 0.25 * zeta * (3.0 * refl.t_c_sq + refl.t_nc_sq)
     # 1 - p_loss as a sum of non-negative terms, which does not cancel
     survived = (1.0 - zeta) + 0.25 * zeta * (3.0 * abs(refl.r_c) ** 2 + abs(refl.r_nc) ** 2)
-    if survived < HERALD_TOL:
+    if not _heralds(survived):
         raise NoHeraldError("photon is always lost; nothing heralds")
     num = 0.25 * (1.0 - zeta) + zeta * abs(0.25 * (3.0 * refl.r_c - refl.r_nc)) ** 2
     return TwoAtomEstimate(fidelity=_unit_interval(num / survived), p_loss=p_loss)

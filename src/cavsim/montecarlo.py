@@ -21,10 +21,11 @@ kappa_ratio into [0, 1]. Clamp counts are reported in the result
 metadata (the kappa_ratio clamp fires at the percent level for the
 standard fluctuation spec, which puts its mean two sigma below 1).
 
-A trial whose herald probability is below analytic.HERALD_TOL is
-skipped and counted; a grid point where no trial heralds raises
-NoHeraldError. write_json is the package's one JSON artifact writer, and
-_linspace its one grid builder, for sweep and mc alike.
+A trial that does not herald (analytic._heralds) is skipped and
+counted, and the old scheme scores a trial over its heralded branches;
+a grid point where no trial heralds raises NoHeraldError. write_json is
+the package's one JSON artifact writer, and _linspace its one grid
+builder, for sweep and mc alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
-from .analytic import HERALD_TOL, NoHeraldError, avg_fidelity_new, avg_fidelity_old, avg_success
+from .analytic import NoHeraldError, _heralds, avg_fidelity_new, avg_fidelity_old, avg_success
 from .cavity import CavityParams, reflection_amplitudes
 
 __all__ = [
@@ -294,12 +295,12 @@ def _infidelity_stats(scheme: str, rc1, rnc1, rc2, rnc2, f1, f2):
     if scheme == "new":
         num, p_herald = _bell_new_core(rc1, rnc1, rc2, rnc2, np.exp(1j * (f2 - f1)))
     else:
-        # herald-probability-weighted average over the two branches
+        # herald-probability-weighted average over the heralded branches
         num_phi, p_phi, num_psi, p_psi = _bell_old_core(rc1, rnc1, rc2, rnc2)
         num, p_herald = num_phi + num_psi, p_phi + p_psi
     with np.errstate(divide="ignore", invalid="ignore"):
         infid = 1.0 - num / p_herald
-    heralded = p_herald >= HERALD_TOL
+    heralded = _heralds(p_herald)
     if heralded.all():
         return _row_stats(infid, 0)
     kept = (row[keep] for row, keep in zip(infid, heralded))
@@ -353,7 +354,7 @@ def mc_infidelity_curve(
     every parameter fluctuating; the new scheme evaluates the (common)
     heralded Bell fidelity including the two drawn interferometer
     phases, the old scheme the herald-probability-weighted average of
-    its two branches. Per-point means are then smoothed with a centered
+    its heralded branches. Per-point means are then smoothed with a centered
     moving average of `spec.window` neighboring points (window 1 leaves
     them untouched). Samples where nothing heralds are skipped and
     counted in the metadata; a grid point where no sample heralds

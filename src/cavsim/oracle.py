@@ -20,9 +20,9 @@ that one loop, `_linear`, applies; cavity scattering has its own loop,
 which reads the H/V <-> sigma+/- change of basis from one table,
 `_SIGMA`, and the (sigma, atom bit) pairs that see r_c from another,
 `_COUPLED`. Each loop builds the new dict in the order of the old one's
-labels, drops zero amplitudes, and adds amplitudes that land on the
-same label coherently, so every sum over a state runs in one fixed
-order.
+labels, skips each contribution that is zero, and adds those that land
+on the same label coherently, so every sum over a state runs in one
+fixed order; a label whose contributions cancel to exactly 0j stays.
 
 None of this shares code with the closed forms in `analytic`, so the
 agreement tests between the two are a genuine cross-check.
@@ -43,7 +43,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .analytic import HERALD_TOL, GateResult, JointState, _reduce_phase
+from .analytic import HERALD_TOL, GateResult, JointState, _heralds, _reduce_phase
 from .cavity import ReflectionPair
 
 __all__ = [
@@ -248,10 +248,10 @@ def apply_scattering(
 
 
 def _project(kept: dict):
-    """(kept amplitudes renormalized, their probability); None for the
-    state when the probability is below HERALD_TOL."""
+    """(kept amplitudes renormalized, their probability); None for the state where
+    _heralds(probability) fails. measure_polarization's is conditional on the herald."""
     prob = sum([abs(a) ** 2 for a in kept.values()])
-    if prob < HERALD_TOL:
+    if not _heralds(prob):
         return None, prob
     scale = 1.0 / math.sqrt(prob)
     return NetworkState({lbl: a * scale for lbl, a in kept.items()}), prob
@@ -348,7 +348,7 @@ def run_cz_new(
     p_loss = st.discarded
     p_rej = sum([abs(a) ** 2 for lbl, a in st.amps.items() if lbl[1] == rej])
     survived = st.norm_sq()
-    p_h = p_rej / survived if survived > HERALD_TOL else 0.0
+    p_h = p_rej / survived if _heralds(survived) else 0.0
     heralded, p_succ = herald(st, {out})
     if heralded is None:
         return GateResult(None, p_succ, p_loss, p_h, no_herald=True)
@@ -400,8 +400,9 @@ class RemoteEntangleResult:
     fidelity_v/fidelity_h are the Bell fidelities of the two heralded
     branches (V targets (|00> + |11>)/sqrt(2), H targets
     (|01> + |10>)/sqrt(2)); prob_v/prob_h are their absolute
-    probabilities and herald_probability their sum. On a no-herald run,
-    as for run_cz_*, both fidelities are None and no_herald is set.
+    probabilities and herald_probability their sum. A branch that does
+    not herald reports fidelity 0.0 and probability 0.0. On a no-herald
+    run, as for run_cz_*, both fidelities are None and no_herald is set.
     """
 
     fidelity_v: float | None

@@ -1,4 +1,5 @@
-"""Shared random-draw helpers for the test suite.
+"""Shared helpers for the test suite: seeded random draws, and a spy on
+the herald rule.
 
 Everything is seeded; no test depends on wall-clock or machine state.
 """
@@ -10,6 +11,20 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cavsim import CavityParams, JointState
+from cavsim.analytic import _heralds
+
+
+def herald_spy(monkeypatch, module) -> list:
+    """The probabilities that module hands to the herald rule, in call
+    order, bit for bit; the rule itself still decides."""
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        return _heralds(p)
+
+    monkeypatch.setattr(module, "_heralds", spy)
+    return seen
 
 
 def random_qubit_pair(rng):

@@ -17,7 +17,9 @@ from cavsim import (
     two_atoms_one_cavity,
     two_atoms_one_cavity_from_reflections,
 )
+from cavsim import entangle
 from cavsim.oracle import HERALD_TOL, run_remote_new
+from conftest import herald_spy
 
 IDEAL_NODE = CavityParams(c=1e9)
 
@@ -166,6 +168,35 @@ def test_no_herald_agrees_with_oracle(kappa_ratio):
         fid = atom_atom_new(TwoCavitySetup(p1, p2))
         assert fid == pytest.approx(net.fidelity_v, abs=1e-10)
         assert fid == pytest.approx(net.fidelity_h, abs=1e-10)
+
+
+# Each polarization outcome of the prior scheme is its own herald. At
+# critical coupling (r_nc = 0) on both nodes each branch has p =
+# |r_c1 r_c2|^2 / 16 = 7.5e-13, below HERALD_TOL, though their sum is
+# above it; a rule on the sum reported this as heralded with both
+# fidelities 0.
+BRANCHES_BELOW_SUM_ABOVE = CavityParams(c=0.000932340139630652, kappa_ratio=0.5)
+# Identical lossless nodes at small C (found by bisecting C): r_c is close
+# to r_nc, so psi+ has p ~ 5e-13 while phi+ has p ~ 1.
+PSI_PLUS_BELOW = CavityParams(c=2.89e-7)
+
+
+def test_old_scheme_branches_below_herald_tol_do_not_herald(monkeypatch):
+    seen = herald_spy(monkeypatch, entangle)
+    with pytest.raises(NoHeraldError):
+        atom_atom_old(TwoCavitySetup(BRANCHES_BELOW_SUM_ABOVE, BRANCHES_BELOW_SUM_ABOVE))
+    p_phi, p_psi = seen[:2]
+    assert p_phi == p_psi == pytest.approx(7.5e-13, rel=1e-9)
+    assert p_phi + p_psi >= HERALD_TOL
+
+
+def test_old_scheme_weighs_only_the_heralded_branches(monkeypatch):
+    seen = herald_spy(monkeypatch, entangle)
+    res = atom_atom_old(TwoCavitySetup(PSI_PLUS_BELOW, PSI_PLUS_BELOW))
+    p_phi, p_psi = seen[:2]
+    assert p_phi >= HERALD_TOL and 0.0 < p_psi < HERALD_TOL
+    assert res.psi_plus_weight == 0.0 and res.psi_plus_fidelity == 0.0
+    assert res.phi_plus_weight == 1.0 and 0.0 < res.phi_plus_fidelity < 1.0
 
 
 def test_two_atoms_one_cavity_frozen_points():

@@ -16,6 +16,9 @@ from cavsim.cavity import reflection_amplitudes
 from cavsim import (
     CavityParams,
     FluctuationSpec,
+    NoHeraldError,
+    TwoCavitySetup,
+    atom_atom_old,
     avg_fidelity_new,
     avg_fidelity_old,
     avg_success,
@@ -225,6 +228,33 @@ def test_clamp_accounting():
     frac = res.metadata["clamped_kappa_ratio"] / draws
     assert 0.01 < frac < 0.04
     assert res.metadata["skipped_no_herald"] == 0
+
+
+def _fixed_spec(kappa_ratio: float) -> FluctuationSpec:
+    """Every trial the same: no sigma, both cavities at kappa_ratio."""
+    sigmas = {f.name: 0.0 for f in fields(FluctuationSpec) if f.name.endswith("_sigma")}
+    return FluctuationSpec(**sigmas, cavity1_kappa_ratio_mean=kappa_ratio,
+                           cavity2_kappa_ratio_mean=kappa_ratio, trials=3, window=1)
+
+
+def test_old_scheme_trial_heralds_per_branch():
+    # each branch has p = 7.5e-13 and their sum 1.5e-12 (test_entangle's
+    # BRANCHES_BELOW_SUM_ABOVE); a rule on the sum scored it with fidelity 0.25
+    with pytest.raises(NoHeraldError):
+        mc_infidelity_curve(_fixed_spec(0.5), "old", [0.000932340139630652])
+
+
+def test_old_scheme_trial_scores_as_atom_atom_old():
+    # psi+ has p ~ 5e-13 and does not herald, phi+ has p ~ 1 (test_entangle's
+    # PSI_PLUS_BELOW)
+    c = 2.89e-7
+    res = atom_atom_old(TwoCavitySetup(CavityParams(c=c), CavityParams(c=c)))
+    assert res.psi_plus_weight == 0.0
+    curve = mc_infidelity_curve(_fixed_spec(1.0), "old", [c])
+    weighted = (res.phi_plus_weight * res.phi_plus_fidelity
+                + res.psi_plus_weight * res.psi_plus_fidelity)
+    assert abs(curve.means[0] - (1.0 - weighted)) <= 1e-15
+    assert curve.metadata["skipped_no_herald"] == 0
 
 
 def test_moving_average_window():
