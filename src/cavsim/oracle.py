@@ -400,9 +400,10 @@ class RemoteEntangleResult:
     fidelity_v/fidelity_h are the Bell fidelities of the two heralded
     branches (V targets (|00> + |11>)/sqrt(2), H targets
     (|01> + |10>)/sqrt(2)); prob_v/prob_h are their absolute
-    probabilities and herald_probability their sum. A branch that does
-    not herald reports fidelity 0.0 and probability 0.0. On a no-herald
-    run, as for run_cz_*, both fidelities are None and no_herald is set.
+    probabilities, and herald_probability is the detection probability
+    p_det (prob_v + prob_h only where both herald). A branch that does not
+    herald reports fidelity 0.0 and probability 0.0. On a no-herald run,
+    as for run_cz_*, both fidelities are None and no_herald is set.
     """
 
     fidelity_v: float | None
