@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,9 +117,21 @@ def reflection_lossy(p: CavityParams) -> ReflectionPair:
 
     The non-reflected probability 1 - |r|**2 leaves through the lossy
     mirror or the atom and never returns.
+
+    The last result is memoized on the four inputs (c, delta_c, delta_a,
+    kappa_ratio), their types and the signs of their zeros, so a call
+    returns the bits an unmemoized one would. zeta is not an input: both
+    schemes at one sweep point, and every point of a zeta sweep, share
+    one immutable ReflectionPair.
     """
-    r_c, r_nc = reflection_amplitudes(p.c, p.delta_c, p.delta_a, p.kappa_ratio)
-    return ReflectionPair.from_amplitudes(r_c, r_nc)
+    c, dc, da, kr = p.c, p.delta_c, p.delta_a, p.kappa_ratio
+    sign = math.copysign  # 0.0 == -0.0 as a key, so the signs tell them apart
+    return _reflected(c, dc, da, kr, (sign(1.0, c), sign(1.0, dc), sign(1.0, da), sign(1.0, kr)))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _reflected(c, delta_c, delta_a, kappa_ratio, _signs) -> ReflectionPair:
+    return ReflectionPair.from_amplitudes(*reflection_amplitudes(c, delta_c, delta_a, kappa_ratio))
 
 
 def reflection_lossless(c: float, delta_c: float = 0.0, delta_a: float = 0.0) -> ReflectionPair:

@@ -1,6 +1,8 @@
 """Reflection coefficient checks: hand-computed points, symmetries,
 and passivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,50 @@ def test_reflection_lossy_keeps_bits_where_r_rounds_above_one():
 def test_cavity_params_validation(kwargs):
     with pytest.raises(ValueError):
         CavityParams(**kwargs)
+
+
+def _pair_bits(refl):
+    return [x.hex() for x in (refl.r_c.real, refl.r_c.imag, refl.r_nc.real, refl.r_nc.imag,
+                              refl.t_c_sq, refl.t_nc_sq)]
+
+
+def _unmemoized(p):
+    return ReflectionPair.from_amplitudes(
+        *reflection_amplitudes(p.c, p.delta_c, p.delta_a, p.kappa_ratio)
+    )
+
+
+MEMO_POINTS = [
+    CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.92),
+    CavityParams(c=4, kappa_ratio=0.916),
+    CavityParams(c=np.float64(4.0), kappa_ratio=0.916),
+    CavityParams(c=2.5, delta_c=0.4, delta_a=-0.3, kappa_ratio=0.8, zeta=0.5),
+] + [
+    CavityParams(**{name: sign * 0.0 for name in zeros}, **{
+        name: value for name, value in
+        {"c": 3.0, "delta_c": 0.2, "delta_a": -0.1, "kappa_ratio": 0.9}.items()
+        if name not in zeros
+    })
+    for zeros in (("c",), ("delta_c",), ("delta_a",), ("kappa_ratio",),
+                  ("c", "delta_c", "delta_a", "kappa_ratio"))
+    for sign in (1.0, -1.0)
+]
+
+
+def test_reflection_memo_is_exact_whatever_came_before():
+    # every ordered pair of points, then alternating calls between two
+    for first in MEMO_POINTS:
+        for second in MEMO_POINTS:
+            reflection_lossy(first)
+            assert _pair_bits(reflection_lossy(second)) == _pair_bits(_unmemoized(second))
+    a, b = MEMO_POINTS[0], MEMO_POINTS[3]
+    for p in (a, b, a, b, a, a, b, b):
+        assert _pair_bits(reflection_lossy(p)) == _pair_bits(_unmemoized(p))
+
+
+def test_reflection_memo_ignores_zeta_and_keys_on_type_and_zero_sign():
+    a = CavityParams(c=4.0, kappa_ratio=0.916, zeta=0.92)
+    assert reflection_lossy(a) is reflection_lossy(replace(a, zeta=0.5))
+    for other in (replace(a, c=4), replace(a, c=np.float64(4.0)), replace(a, delta_c=-0.0)):
+        refl = reflection_lossy(a)
+        assert reflection_lossy(other) is not refl

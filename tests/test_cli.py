@@ -177,6 +177,26 @@ def test_sweep_where_almost_nothing_reflects_exits_0(tmp_path, capsys):
     assert doc["rows"][0][:2] == [1e-6, 0.473577352778]
 
 
+def test_sweep_both_with_zeta_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep", "--axis", "zeta", "--scheme", "both", "--min", "0.5", "--max", "1.5",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "error: zeta must lie in [0, 1]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["old", "both"])
+def test_sweep_point_where_the_old_scheme_heralds_nowhere_exits_3(scheme, tmp_path, capsys):
+    # C = 0 at critical coupling (kappa_ratio 0.5, mid-grid) reflects nothing
+    out = tmp_path / "out"
+    code = main(["sweep", "--axis", "kappa_ratio", "--scheme", scheme, "--min", "0",
+                 "--max", "1", "--points", "3", "--c", "0", "--zeta", "1", "--out", str(out)])
+    assert code == EXIT_NO_HERALD
+    assert capsys.readouterr().err == "error: gate heralds nowhere on the Bloch sphere\n"
+    assert not out.exists()
+
+
 def test_sweep_where_the_gate_barely_acts_exits_0(tmp_path, capsys):
     # the gate barely acts here; the new scheme's average is exact, so it cannot fail
     code = main(
