@@ -120,9 +120,9 @@ def reflection_lossy(p: CavityParams) -> ReflectionPair:
 
     The last result is memoized on the four inputs (c, delta_c, delta_a,
     kappa_ratio), their types and the signs of their zeros, so a call
-    returns the bits an unmemoized one would. zeta is not an input: both
-    schemes at one sweep point, and every point of a zeta sweep, share
-    one immutable ReflectionPair.
+    returns the bits an unmemoized one would. zeta is not an input, so
+    every point of a zeta sweep, in either scheme, shares one immutable
+    ReflectionPair.
     """
     c, dc, da, kr = p.c, p.delta_c, p.delta_a, p.kappa_ratio
     sign = math.copysign  # 0.0 == -0.0 as a key, so the signs tell them apart

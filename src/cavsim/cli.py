@@ -274,9 +274,9 @@ def cmd_sweep(args) -> int:
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"sweep needs 2 to {MAX_GRID_POINTS} points, got {args.points}")
     values = _linspace(lo, hi, args.points)
-    result = sweep_1d(base, args.axis, values, args.scheme, args.quantity)
-    _write_curves(args, f"sweep_{args.axis}_{args.quantity}",
-                  result if args.scheme == "both" else (result,))
+    schemes = ("new", "old") if args.scheme == "both" else (args.scheme,)
+    results = [sweep_1d(base, args.axis, values, scheme, args.quantity) for scheme in schemes]
+    _write_curves(args, f"sweep_{args.axis}_{args.quantity}", results)
     return 0
 
 

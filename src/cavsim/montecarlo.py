@@ -23,13 +23,7 @@ standard fluctuation spec, which puts its mean two sigma below 1).
 
 A trial that does not herald (analytic._heralds) is skipped and
 counted, and the old scheme scores a trial over its heralded branches;
-a grid point where no trial heralds raises NoHeraldError.
-
-sweep_1d evaluates the closed-form Bloch averages along one axis; its
-scheme "both" is one pass over the grid that returns (new, old), with
-one CavityParams per point read by both schemes. The reflection is
-memoized in cavity.reflection_lossy on its four inputs, which do not
-include zeta, so a zeta sweep reflects its cavity once. write_json is
+a grid point where no trial heralds raises NoHeraldError. write_json is
 the package's one JSON artifact writer, and _linspace its one grid
 builder, for sweep and mc alike.
 """
@@ -456,45 +450,36 @@ _QUANTITIES = ("fidelity", "success")
 
 def sweep_1d(
     base: CavityParams, axis: str, values, scheme: str, quantity: str = "fidelity"
-) -> SweepResult | tuple[SweepResult, SweepResult]:
+) -> SweepResult:
     """Deterministic sweep of a Bloch-averaged quantity along one axis.
 
     axis is one of zeta / kappa_ratio / delta_c / c; quantity selects
     the averaged fidelity or success probability. Standard errors are
-    zero (nothing is sampled). scheme "new" or "old" returns one
-    SweepResult; "both" returns the (new, old) pair from one pass over
-    the grid, each curve equal bit for bit to its own single-scheme call.
-    Each point builds one CavityParams, which validates it, and both
-    schemes read it; the averages reflect its cavity through the memo of
-    reflection_lossy, whose inputs do not include zeta.
+    zero (nothing is sampled). The averages reflect each point's cavity
+    through cavity.reflection_lossy, which memoizes its last result on
+    inputs that do not include zeta, so a zeta sweep reflects once.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {_SWEEP_AXES}")
-    if scheme not in _SCHEMES + ("both",):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'new', 'old' or 'both'")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'new' or 'old'")
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    schemes = _SCHEMES if scheme == "both" else (scheme,)
     xs = [float(v) for v in values]
-    columns = [[] for _ in schemes]
+    means = []
     for v in xs:
         p = replace(base, **{axis: v})
-        for name, means in zip(schemes, columns):
-            if quantity == "success":
-                means.append(avg_success(p, name))
-            elif name == "new":
-                means.append(avg_fidelity_new(p))
-            else:
-                means.append(avg_fidelity_old(p))
-    base_meta = {f"base_{key}": value for key, value in asdict(base).items()}
-    curves = tuple(
-        SweepResult(
-            xs=tuple(xs),
-            means=tuple(means),
-            stderrs=(0.0,) * len(xs),
-            metadata={"kind": "sweep_1d", "axis": axis, "scheme": name, "quantity": quantity,
-                      **base_meta},
-        )
-        for name, means in zip(schemes, columns)
+        if quantity == "success":
+            means.append(avg_success(p, scheme))
+        elif scheme == "new":
+            means.append(avg_fidelity_new(p))
+        else:
+            means.append(avg_fidelity_old(p))
+    meta = {"kind": "sweep_1d", "axis": axis, "scheme": scheme, "quantity": quantity}
+    meta.update({f"base_{key}": value for key, value in asdict(base).items()})
+    return SweepResult(
+        xs=tuple(xs),
+        means=tuple(means),
+        stderrs=tuple(0.0 for _ in xs),
+        metadata=meta,
     )
-    return curves if scheme == "both" else curves[0]
