@@ -35,7 +35,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .analytic import JointState, NoHeraldError, cz_new, cz_old
+from .analytic import JointState, NoHeraldError, cz_new_from_reflections, cz_old_from_reflections
 from .cavity import BASELINE_PARAMS, CavityParams, reflection_lossy
 from .montecarlo import FluctuationSpec, _linspace, mc_infidelity_curve, sweep_1d, write_json
 
@@ -69,8 +69,8 @@ def _fmt_complex(z: complex) -> str:
 
 # The defaults of each command name every key its config file may set:
 # gate evaluates an ideal box unless told otherwise, with an equal
-# superposition where an amplitude is None; sweeps default to the
-# published comparison baseline
+# superposition where both amplitudes of a pair are None; sweeps default
+# to the published comparison baseline
 _GATE_DEFAULTS = {
     **asdict(CavityParams(c=4.0)),
     "phi": 0.0, "v_attenuation": 1.0, "alpha_p": None, "beta_p": None, "alpha": None, "beta": None,
@@ -125,15 +125,15 @@ def _merged_config(args, path, defaults: dict) -> dict:
 
 
 def _normalized_pair(cfg: dict, a: str, b: str) -> tuple[complex, complex]:
-    """The amplitudes cfg[a], cfg[b] normalized at any finite scale, or an
-    equal superposition where both are None. The pair is first divided by
-    the power of two that brings its largest real or imaginary part into
-    [0.5, 1): exact, so no norm overflows, and the result keeps the bits
-    of the unscaled division unless one of its parts is below 2**-1021."""
-    if cfg[a] is None and cfg[b] is None:
-        s = math.sqrt(0.5)
-        return complex(s), complex(s)
-    pair = [_parse_complex(cfg[key]) if cfg[key] is not None else 0j for key in (a, b)]
+    """The amplitudes cfg[a], cfg[b] normalized at any finite scale; one
+    left None reads 0j, both left None equal weights 1, which the one rule
+    turns into JointState.equal_superposition()'s pair bit for bit. The
+    pair is first divided by the power of two that brings its largest real
+    or imaginary part into [0.5, 1): exact, so no norm overflows, and the
+    result keeps the bits of the unscaled division unless one of its parts
+    is below 2**-1021."""
+    unset = 1 + 0j if cfg[a] is None and cfg[b] is None else 0j
+    pair = [_parse_complex(cfg[key]) if cfg[key] is not None else unset for key in (a, b)]
     for key, z in zip((a, b), pair):
         if not cmath.isfinite(z):
             raise ValueError(f"{key} must be a finite amplitude, got {cfg[key]!r}")
@@ -208,13 +208,14 @@ def cmd_gate(args) -> int:
                 f"{_GATE_DEFAULTS[name]}, got {value}"
             )
 
-    if args.scheme == "new":
-        res = cz_new(params, state, phi=phi, v_attenuation=att)
-    else:
-        res = cz_old(params, state)
+    refl = reflection_lossy(params)
+    new = args.scheme == "new"
+    options = {"phi": phi, "v_attenuation": att} if new else {}
+    res = (cz_new_from_reflections if new else cz_old_from_reflections)(
+        refl, params.zeta, state, **options
+    )
     if res.no_herald:
-        print("error: gate heralds nothing at this operating point", file=sys.stderr)
-        return EXIT_NO_HERALD
+        raise NoHeraldError("gate heralds nothing at this operating point")
 
     payload = {
         "scheme": args.scheme,
@@ -227,11 +228,7 @@ def cmd_gate(args) -> int:
     if args.oracle:
         from . import oracle
 
-        refl = reflection_lossy(params)
-        if args.scheme == "new":
-            net = oracle.run_cz_new(refl, params.zeta, state, phi=phi, v_attenuation=att)
-        else:
-            net = oracle.run_cz_old(refl, params.zeta, state)
+        net = (oracle.run_cz_new if new else oracle.run_cz_old)(refl, params.zeta, state, **options)
         if net.no_herald:
             print("error: oracle heralds nothing at this operating point", file=sys.stderr)
             return EXIT_VALIDATION_FAILED

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from cavsim import cli, montecarlo
-from cavsim import FluctuationSpec, GateResult, mc_infidelity_curve, sweep_1d, CavityParams
+from cavsim import (
+    CavityParams, FluctuationSpec, GateResult, JointState, mc_infidelity_curve, sweep_1d,
+)
 from cavsim.cli import (
     _AXIS_RANGES,
     _GATE_DEFAULTS,
@@ -23,6 +25,13 @@ from cavsim.cli import (
     EXIT_VALIDATION_FAILED,
     main,
 )
+
+
+# one operating point per scheme, each the point of its gate golden
+_GATE_POINTS = {
+    "new": "gate --scheme new --c 4 --kr 0.916",
+    "old": "gate --scheme old --c 3 --dc 0.12 --da 0.0996 --kr 0.92 --zeta 0.92",
+}
 
 
 def test_gate_old_scheme_reference_point(capsys):
@@ -81,6 +90,34 @@ def test_gate_custom_state(capsys):
     assert doc["result"]["fidelity"] < 1.0
 
 
+def _state_bits(state):
+    """Every amplitude of a JointState as float.hex: the JSON output rounds
+    to 12 digits, so a default state is compared below it."""
+    return [x.hex() for z in asdict(state).values() for x in (z.real, z.imag)]
+
+
+def test_default_state_is_the_equal_superposition():
+    cfg = {key: None for key in ("alpha_p", "beta_p", "alpha", "beta")}
+    equal = _state_bits(JointState.equal_superposition())
+    assert _state_bits(cli._state_from_config(cfg)) == equal
+
+
+def test_gate_evaluates_the_equal_superposition_by_default(monkeypatch, capsys):
+    seen = []
+    real_gate = cli.cz_old_from_reflections
+
+    def spy(refl, zeta, state, **options):
+        seen.append(state)
+        return real_gate(refl, zeta, state, **options)
+
+    monkeypatch.setattr(cli, "cz_old_from_reflections", spy)
+    assert main(_GATE_POINTS["old"].split()) == 0
+    capsys.readouterr()
+    assert [_state_bits(state) for state in seen] == [
+        _state_bits(JointState.equal_superposition())
+    ]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"c": 3.0, "zeta": 0.92, "delta_c": 0.12,
@@ -130,30 +167,32 @@ def test_no_herald_exit_code(capsys):
     assert "heralds nothing" in capsys.readouterr().err
 
 
-def test_oracle_no_herald_is_a_validation_failure(monkeypatch, capsys):
+@pytest.mark.parametrize("scheme", ["new", "old"])
+def test_oracle_no_herald_is_a_validation_failure(scheme, monkeypatch, capsys):
     # the closed form heralds but the oracle does not: report, don't crash
     def no_herald_oracle(*args, **kwargs):
         return GateResult(None, 0.0, 1.0, 0.0, no_herald=True)
 
     # cmd_gate imports the oracle only under --oracle, and looks it up there
-    monkeypatch.setattr("cavsim.oracle.run_cz_new", no_herald_oracle)
-    code = main("gate --scheme new --c 4 --kr 0.916 --oracle".split())
+    monkeypatch.setattr(f"cavsim.oracle.run_cz_{scheme}", no_herald_oracle)
+    code = main(f"{_GATE_POINTS[scheme]} --oracle".split())
     assert code == EXIT_VALIDATION_FAILED
     assert "oracle heralds nothing" in capsys.readouterr().err
 
 
-def test_oracle_deviation_is_a_validation_failure(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("scheme", ["new", "old"])
+def test_oracle_deviation_is_a_validation_failure(scheme, monkeypatch, capsys, tmp_path):
     from cavsim import oracle
 
-    real_oracle = oracle.run_cz_new
+    real_oracle = getattr(oracle, f"run_cz_{scheme}")
 
     def deviating_oracle(*args, **kwargs):
         res = real_oracle(*args, **kwargs)
         return replace(res, fidelity=res.fidelity - 1e-9)
 
-    monkeypatch.setattr("cavsim.oracle.run_cz_new", deviating_oracle)
+    monkeypatch.setattr(f"cavsim.oracle.run_cz_{scheme}", deviating_oracle)
     out = tmp_path / "out"
-    code = main(f"gate --scheme new --c 4 --kr 0.916 --oracle --out {out}".split())
+    code = main(f"{_GATE_POINTS[scheme]} --oracle --out {out}".split())
     assert code == EXIT_VALIDATION_FAILED
     assert "oracle deviates from the closed form by 1.000e-09" in capsys.readouterr().err
     assert not (out / "gate.json").exists()

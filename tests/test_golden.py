@@ -3,7 +3,9 @@
 The reference files under tests/golden/ were written by the commands
 below. They pin the artifact writer (12 significant digits, sorted keys,
 indent 2, trailing LF) and the seeded Monte Carlo streams; regenerate
-them only for a deliberate change of the output format.
+them only for a deliberate change of the output format. A pinned value
+may also be regenerated by a change that moves it on purpose and records
+the old and new value in CHANGES.md.
 """
 
 import json
